@@ -8,15 +8,36 @@ convolution, which is the oracle test for this whole module.
 
 For an output location p, tap n in frame t+tau:
 
-    y_t(p) = sum_tau sum_n m^n_{t+tau} * w_tau(p^n) * x_{t+tau}(p + p^n + dp^n_{t+tau})
+    y_t(p) = sum_tau sum_n m^n_t(p) * w_tau(p^n) * x_{t+tau}(p + p^n + dp^n_t(p))
 
+The offset dp and mask m of each tap are read at the output point (t, p).
 Offsets and masks are shared across output channels. The main kernel here
 is always stride 1 with centered padding, so the offset/mask fields live
 on the same (T, H, W) grid as the input.
 
+The operator is one deformable column buffer and one GEMM, the
+"deformable im2col" of DCN (Dai et al. 2017) and DCNv2 (Zhu et al. 2019):
+
+* The input is laid out channels last, as the rows of a
+  (N*(T+2*pt)*H*W + 1, C) matrix: every frame zero-padded by
+  pt = K_t // 2 frames in T, then one zero row at the end.
+* One vector pass computes the four bilinear corner rows and weights of
+  every tap at every output point. A corner outside its frame points at
+  the zero row, so a plain row gather reads the zero padding and no
+  validity mask is needed. Taps that reach before the first or after the
+  last frame read the zero frames of the T padding.
+* The corners are gathered one at a time and weighted into `sampled`,
+  (N*T*H*W, K, C). Times the masks, it is the column buffer, and the
+  output is one GEMM with the weight reshaped to (K*C_in, C_out).
+
 Forward and backward are written by hand; `ls3d_backward` is exact
-reverse-mode differentiation of the sum above (product rule for masks,
-bilinear kernel derivative for offsets, bilinear scatter for the input).
+reverse-mode differentiation of the sum above. grad_w and the column
+gradient are one GEMM each. The mask gradient (product rule) and the
+offset gradient (bilinear kernel derivative, on the corners gathered
+again) are reductions over C. grad_x scatters the column gradient
+through the bilinear weights into the channels-last frames with one
+`bincount` per tap: a single bincount over all taps would hold K times
+the flat index and weight arrays at once.
 """
 
 from __future__ import annotations
@@ -89,81 +110,66 @@ def bilinear_backward(frame: np.ndarray, point, upstream: float):
     return grad_frame, (d_row, d_col)
 
 
-# --- vectorized field sampling ---------------------------------------------
+# --- column buffer ---------------------------------------------------------
 
-def _shift_t(x: np.ndarray, tau: int) -> np.ndarray:
-    """Temporal shift with zero fill: out[..., t, :, :] = x[..., t+tau, :, :]."""
-    if tau == 0:
-        return x
-    out = np.zeros_like(x)
-    if tau > 0:
-        out[:, :, :-tau] = x[:, :, tau:]
-    else:
-        out[:, :, -tau:] = x[:, :, :tau]
-    return out
+def _corners(x: np.ndarray, kernel, offsets: np.ndarray):
+    """Channels-last frames and the 4 bilinear corners of every tap.
 
-
-def _unshift_add(grad_x: np.ndarray, g_shifted: np.ndarray, tau: int) -> None:
-    """Adjoint of _shift_t: accumulate into grad_x in place."""
-    if tau == 0:
-        grad_x += g_shifted
-    elif tau > 0:
-        grad_x[:, :, tau:] += g_shifted[:, :, :-tau]
-    else:
-        grad_x[:, :, :tau] += g_shifted[:, :, -tau:]
-
-
-def _neighbor_indices(rows: np.ndarray, cols: np.ndarray, h: int, w: int):
-    """Floor corners, fractional parts, and per-neighbor (lin, valid) stacks.
-
-    rows/cols: (N, T, P). Returns r0c-style linear indices concatenated as
-    (N, T, 4P) in neighbor order 00, 01, 10, 11, plus matching validity and
-    the bilinear weights.
+    Returns (frames, idx, weights, frac):
+      frames  (N*(T+2*pt)*H*W + 1, C): x channels last, zero-padded by
+              pt = K_t // 2 frames in T, plus one zero row at the end;
+      idx     (4, N*T*H*W*K) frame rows of the corners 00, 01, 10, 11; a
+              corner outside the frame points at the zero row;
+      weights (4, N*T*H*W*K) the matching bilinear weights;
+      frac    (dr, dc), the fractional parts of the sampling point.
+    Entries run over (n, t, h, w, tap), tap fastest.
     """
+    n_, c_in, t_, h, w = x.shape
+    pt = kernel[0] // 2
+    tt = t_ + 2 * pt
+    zero_row = n_ * tt * h * w
+    frames = np.zeros((zero_row + 1, c_in), dtype=x.dtype)
+    frames[:-1].reshape(n_, tt, h, w, c_in)[:, pt:pt + t_] = x.transpose(0, 2, 3, 4, 1)
+
+    tau, pr, pc = np.array([tap[1:] for tap in tap_offsets(kernel)]).T
+    off = offsets.reshape(n_, len(tau), 2, t_, h, w).transpose(2, 0, 3, 4, 5, 1)
+    rows = (np.arange(h, dtype=x.dtype)[:, None, None] + pr.astype(x.dtype)) + off[0]
+    cols = (np.arange(w, dtype=x.dtype)[:, None] + pc.astype(x.dtype)) + off[1]
     r0 = np.floor(rows)
     c0 = np.floor(cols)
-    dr = rows - r0
-    dc = cols - c0
+    dr = (rows - r0).ravel()
+    dc = (cols - c0).ravel()
     r0 = r0.astype(np.int64)
     c0 = c0.astype(np.int64)
-    r1 = r0 + 1
-    c1 = c0 + 1
+    frame = (np.arange(n_)[:, None] * tt + np.arange(pt, pt + t_))[:, :, None, None, None] + tau
 
-    def lin_valid(r, c):
-        valid = (r >= 0) & (r < h) & (c >= 0) & (c < w)
-        lin = np.clip(r, 0, h - 1) * w + np.clip(c, 0, w - 1)
-        return lin, valid
-
-    lins, valids = zip(lin_valid(r0, c0), lin_valid(r0, c1), lin_valid(r1, c0), lin_valid(r1, c1))
-    weights = ((1 - dr) * (1 - dc), (1 - dr) * dc, dr * (1 - dc), dr * dc)
-    return np.concatenate(lins, axis=-1), np.concatenate(valids, axis=-1), weights, (dr, dc)
+    idx = np.empty((4, dr.size), dtype=np.int64)
+    for j, (r, c) in enumerate(((r0, c0), (r0, c0 + 1), (r0 + 1, c0), (r0 + 1, c0 + 1))):
+        inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+        idx[j] = np.where(inside, (frame * h + r) * w + c, zero_row).ravel()
+    weights = np.stack([(1 - dr) * (1 - dc), (1 - dr) * dc, dr * (1 - dc), dr * dc])
+    return frames, idx, weights, (dr, dc)
 
 
-class _TapState:
-    __slots__ = ("lin4", "valid4", "weights", "frac", "sampled", "neighbor_vals")
-
-    def __init__(self, lin4, valid4, weights, frac, sampled, neighbor_vals):
-        self.lin4 = lin4
-        self.valid4 = valid4
-        self.weights = weights
-        self.frac = frac
-        self.sampled = sampled
-        self.neighbor_vals = neighbor_vals
+def _gather(frames: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = frames[rows[i]]. Every row is in range by construction, and
+    mode="clip" skips the buffered copy that mode="raise" makes with `out`."""
+    return np.take(frames, rows, axis=0, out=out, mode="clip")
 
 
-def _sample_tap(shifted: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> _TapState:
-    """Bilinear-sample every (n, t, output position) of one tap at once."""
-    n_, c_, t_, h, w = shifted.shape
-    p = h * w
-    lin4, valid4, weights, frac = _neighbor_indices(rows.reshape(n_, t_, p),
-                                                    cols.reshape(n_, t_, p), h, w)
-    frames = shifted.transpose(0, 2, 1, 3, 4).reshape(n_, t_, c_, p)
-    vals4 = np.take_along_axis(frames, lin4[:, :, None, :], axis=3)
-    vals4 = vals4 * valid4[:, :, None, :]
-    v00, v01, v10, v11 = (vals4[..., i * p:(i + 1) * p] for i in range(4))
-    w00, w01, w10, w11 = (wt.reshape(n_, t_, 1, p) for wt in weights)
-    sampled = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11   # (N, T, C, P)
-    return _TapState(lin4, valid4, weights, frac, sampled, (v00, v01, v10, v11))
+def _channels_last(f: np.ndarray) -> np.ndarray:
+    """(N, C, T, H, W) -> (N*T*H*W, C)."""
+    return f.transpose(0, 2, 3, 4, 1).reshape(-1, f.shape[1])
+
+
+def _channels_first(f: np.ndarray, shape) -> np.ndarray:
+    """(N*T*H*W, C) -> contiguous (N, C, T, H, W) for shape (N, T, H, W)."""
+    return np.ascontiguousarray(f.reshape(*shape, -1).transpose(0, 4, 1, 2, 3))
+
+
+def _weight_matrix(params: Conv3dParams) -> np.ndarray:
+    """(C_out, C_in, K_t, K_h, K_w) -> (K*C_in, C_out), tap-major rows."""
+    return params.weight.transpose(2, 3, 4, 1, 0).reshape(-1, params.out_channels)
 
 
 def _validate_fields(x, params: Conv3dParams, offsets, masks):
@@ -196,27 +202,21 @@ def ls3d_forward(x: np.ndarray, params: Conv3dParams, offsets: np.ndarray,
     """Offset-and-mask-modulated 3D convolution. Returns (y, ctx)."""
     _validate_fields(x, params, offsets, masks)
     n_, c_in, t_, h, w = x.shape
-    p = h * w
-    c_out = params.out_channels
-    base_r = np.arange(h, dtype=x.dtype)[:, None]
-    base_c = np.arange(w, dtype=x.dtype)[None, :]
+    taps = num_taps(params.kernel)
+    frames, idx, weights, frac = _corners(x, params.kernel, offsets)
 
-    y = np.zeros((n_, t_, c_out, p), dtype=x.dtype)
-    tap_states: list[_TapState] = []
-    for k, tau, pr, pc in tap_offsets(params.kernel):
-        shifted = _shift_t(x, tau)
-        rows = base_r + pr + offsets[:, 2 * k]
-        cols = base_c + pc + offsets[:, 2 * k + 1]
-        state = _sample_tap(shifted, rows, cols)
-        tap_states.append(state)
-        jt, jh, jw = tau + params.kernel[0] // 2, pr + params.kernel[1] // 2, pc + params.kernel[2] // 2
-        w_tap = params.weight[:, :, jt, jh, jw]                      # (Co, Ci)
-        modulated = state.sampled * masks[:, k].reshape(n_, t_, 1, p)
-        y += np.matmul(w_tap, modulated)
+    sampled = np.zeros((idx.shape[1], c_in), dtype=x.dtype)
+    corner = np.empty_like(sampled)
+    for i, wt in zip(idx, weights):
+        _gather(frames, i, corner)
+        corner *= wt[:, None]
+        sampled += corner
+    sampled = sampled.reshape(-1, taps, c_in)                        # (N*T*P, K, C)
 
-    y = y.reshape(n_, t_, c_out, h, w).transpose(0, 2, 1, 3, 4)
-    y = np.ascontiguousarray(y) + params.bias[None, :, None, None, None].astype(x.dtype)
-    ctx = (x, params, offsets, masks, tap_states)
+    columns = (sampled * _channels_last(masks)[:, :, None]).reshape(-1, taps * c_in)
+    y = _channels_first(columns @ _weight_matrix(params), (n_, t_, h, w)).astype(x.dtype, copy=False)
+    y += params.bias[None, :, None, None, None].astype(x.dtype)
+    ctx = (x, params, offsets, masks, (frames, idx, weights, frac, sampled))
     return y, ctx
 
 
@@ -227,56 +227,53 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
     """
     if ctx is None:
         raise ShapeError("ls3d_backward: no saved forward state")
-    x, params, offsets, masks, tap_states = ctx
+    x, params, offsets, masks, (frames, idx, weights, frac, sampled) = ctx
     n_, c_in, t_, h, w = x.shape
-    p = h * w
     if grad_y.shape != (n_, params.out_channels, t_, h, w):
         raise ShapeError(f"ls3d_backward: grad_y shape {grad_y.shape} does not match "
                          f"forward output {(n_, params.out_channels, t_, h, w)}")
+    taps = num_taps(params.kernel)
+    grid = (n_, t_, h, w)
 
-    gy = np.ascontiguousarray(grad_y.transpose(0, 2, 1, 3, 4)).reshape(n_, t_, -1, p)
-    grad_x = np.zeros_like(x)
-    grad_w = np.zeros_like(params.weight)
+    gy = _channels_last(grad_y)                                       # (N*T*P, C_out)
+    msk = _channels_last(masks)[:, :, None]                           # (N*T*P, K, 1)
+    columns = (sampled * msk).reshape(-1, taps * c_in)
+    grad_w = (columns.T @ gy).reshape(*params.kernel, c_in, -1).transpose(4, 3, 0, 1, 2)
+    grad_w = np.ascontiguousarray(grad_w, dtype=params.weight.dtype)
     grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
-    grad_offsets = np.zeros_like(offsets)
-    grad_masks = np.zeros_like(masks)
 
-    # Flattened scatter targets: index (n*T + t)*C*P + c*P + lin.
-    seg_base = (np.arange(n_ * t_)[:, None, None] * c_in
-                + np.arange(c_in)[None, :, None]) * p
+    # dL/d(m*sampled) per input channel, then split by product rule.
+    g_mod = (gy @ _weight_matrix(params).T).reshape(-1, taps, c_in)
+    grad_masks = _channels_first(np.einsum("ikc,ikc->ik", g_mod, sampled), grid)
+    g_samp = g_mod * msk                                              # (N*T*P, K, C)
 
-    for (k, tau, pr, pc), state in zip(tap_offsets(params.kernel), tap_states):
-        jt, jh, jw = tau + params.kernel[0] // 2, pr + params.kernel[1] // 2, pc + params.kernel[2] // 2
-        w_tap = params.weight[:, :, jt, jh, jw]
-        msk = masks[:, k].reshape(n_, t_, 1, p)
+    # Offset gradient: derivative of the bilinear kernel wrt the point. It
+    # is linear in the corners, so each corner's dot product with g_samp
+    # over C is taken first, on the corners gathered again.
+    corner = np.empty((idx.shape[1], c_in), dtype=frames.dtype)
+    g_flat = g_samp.reshape(-1, c_in)
+    s00, s01, s10, s11 = (np.einsum("ic,ic->i", _gather(frames, i, corner), g_flat) for i in idx)
+    dr, dc = frac
+    grad_offsets = np.stack([(1 - dc) * (s10 - s00) + dc * (s11 - s01),
+                             (1 - dr) * (s01 - s00) + dr * (s11 - s10)], axis=1)
+    grad_offsets = _channels_first(grad_offsets.reshape(-1, 2 * taps), grid)
 
-        # dL/d(m*sampled) per input channel, then split by product rule.
-        g_mod = np.matmul(w_tap.T, gy)
-        grad_masks[:, k] = (g_mod * state.sampled).sum(axis=2).reshape(n_, t_, h, w)
-        g_samp = g_mod * msk
-        grad_w[:, :, jt, jh, jw] = np.tensordot(gy, state.sampled * msk,
-                                                axes=([0, 1, 3], [0, 1, 3]))
-
-        # Offset gradient: derivative of the bilinear kernel wrt the point.
-        v00, v01, v10, v11 = state.neighbor_vals
-        dr, dc = state.frac
-        dr = dr.reshape(n_, t_, 1, p)
-        dc = dc.reshape(n_, t_, 1, p)
-        d_row = (1 - dc) * (v10 - v00) + dc * (v11 - v01)
-        d_col = (1 - dr) * (v01 - v00) + dr * (v11 - v10)
-        grad_offsets[:, 2 * k] = (g_samp * d_row).sum(axis=2).reshape(n_, t_, h, w)
-        grad_offsets[:, 2 * k + 1] = (g_samp * d_col).sum(axis=2).reshape(n_, t_, h, w)
-
-        # Input gradient: scatter g_samp through the four bilinear weights.
-        # bincount over a fully flattened index is much faster than ufunc.at.
-        w4 = np.concatenate([wt.reshape(n_, t_, 1, p) for wt in state.weights], axis=-1)
-        vals4 = np.concatenate([g_samp] * 4, axis=-1) * w4 * state.valid4[:, :, None, :]
-        idx = (seg_base + state.lin4.reshape(n_ * t_, 1, 4 * p)).ravel()
-        g_acc = np.bincount(idx, weights=vals4.ravel().astype(np.float64),
-                            minlength=n_ * t_ * c_in * p)
-        g_shifted = (g_acc.reshape(n_, t_, c_in, h, w).astype(x.dtype)
-                     .transpose(0, 2, 1, 3, 4))
-        _unshift_add(grad_x, g_shifted, tau)
+    # Input gradient: scatter g_samp through the four bilinear weights into
+    # the channels-last frames, one tap at a time to bound the index arrays.
+    # bincount over a fully flattened index is much faster than ufunc.at.
+    row_starts = np.ascontiguousarray(idx.reshape(4, -1, taps).transpose(2, 0, 1)) * c_in
+    wts = np.ascontiguousarray(weights.reshape(4, -1, taps).transpose(2, 0, 1))[..., None]
+    chan = np.arange(c_in)
+    flat = np.empty(row_starts.shape[1:] + (c_in,), dtype=np.int64)   # (4, N*T*P, C)
+    vals = np.empty(flat.shape)
+    acc = np.zeros(frames.size)
+    for k in range(taps):
+        np.add(row_starts[k, :, :, None], chan, out=flat)
+        np.multiply(wts[k], g_samp[:, k], out=vals)
+        acc += np.bincount(flat.ravel(), weights=vals.ravel(), minlength=acc.size)
+    pt = params.kernel[0] // 2
+    grad_x = acc[:-c_in].reshape(n_, t_ + 2 * pt, h, w, c_in)[:, pt:pt + t_]
+    grad_x = np.ascontiguousarray(grad_x.transpose(0, 4, 1, 2, 3), dtype=x.dtype)
 
     return grad_x, grad_w, grad_bias, grad_offsets, grad_masks
 

@@ -24,14 +24,14 @@ _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
 
 
-def _gauss_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def _gauss_1d(size: int = 11, sigma: float = 1.5) -> np.ndarray:
     ax = np.arange(size, dtype=np.float64) - (size - 1) / 2
     g = np.exp(-0.5 * (ax / sigma) ** 2)
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
 
 
-_WINDOW = _gauss_window()
+# The 11x11 window is the outer product of this with itself.
+_GAUSS = _gauss_1d()
 
 
 def psnr_frames(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> list[float]:
@@ -58,22 +58,12 @@ def _to_luma(x: np.ndarray) -> np.ndarray:
     raise ShapeError(f"ssim expects 1 or 3 channels, got {x.shape[1]}")
 
 
-def _ssim_2d(x: np.ndarray, y: np.ndarray) -> float:
-    win = _WINDOW
-    k = win.shape[0]
-    xw = sliding_window_view(x, (k, k))
-    yw = sliding_window_view(y, (k, k))
-    mu_x = np.tensordot(xw, win, axes=([2, 3], [0, 1]))
-    mu_y = np.tensordot(yw, win, axes=([2, 3], [0, 1]))
-    xx = np.tensordot(xw * xw, win, axes=([2, 3], [0, 1]))
-    yy = np.tensordot(yw * yw, win, axes=([2, 3], [0, 1]))
-    xy = np.tensordot(xw * yw, win, axes=([2, 3], [0, 1]))
-    var_x = xx - mu_x ** 2
-    var_y = yy - mu_y ** 2
-    cov = xy - mu_x * mu_y
-    num = (2 * mu_x * mu_y + _SSIM_C1) * (2 * cov + _SSIM_C2)
-    den = (mu_x ** 2 + mu_y ** 2 + _SSIM_C1) * (var_x + var_y + _SSIM_C2)
-    return float((num / den).mean())
+def _blur(img: np.ndarray) -> np.ndarray:
+    """Gaussian window sums over the last two axes, valid windows only,
+    as one 11-tap pass along H and one along W."""
+    k = len(_GAUSS)
+    rows = sliding_window_view(img, k, axis=-2) @ _GAUSS
+    return sliding_window_view(rows, k, axis=-1) @ _GAUSS
 
 
 def ssim_frames(a: np.ndarray, b: np.ndarray) -> list[float]:
@@ -82,9 +72,14 @@ def ssim_frames(a: np.ndarray, b: np.ndarray) -> list[float]:
     h, w = a.shape[3:]
     if h < 11 or w < 11:
         raise ShapeError(f"ssim needs H, W >= 11, got H={h}, W={w}")
-    la, lb = _to_luma(a), _to_luma(b)
-    return [_ssim_2d(la[n, t], lb[n, t])
-            for n in range(la.shape[0]) for t in range(la.shape[1])]
+    x, y = _to_luma(a), _to_luma(b)                                 # (N, T, H, W)
+    mu_x, mu_y = _blur(x), _blur(y)
+    var_x = _blur(x * x) - mu_x ** 2
+    var_y = _blur(y * y) - mu_y ** 2
+    cov = _blur(x * y) - mu_x * mu_y
+    num = (2 * mu_x * mu_y + _SSIM_C1) * (2 * cov + _SSIM_C2)
+    den = (mu_x ** 2 + mu_y ** 2 + _SSIM_C1) * (var_x + var_y + _SSIM_C2)
+    return [float(v) for v in (num / den).mean(axis=(2, 3)).ravel()]
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:

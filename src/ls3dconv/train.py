@@ -151,7 +151,8 @@ def train_loop(net: VINet, config: TrainConfig,
         raise ShapeError(f"net task '{net.spec.task}' does not match "
                          f"config task '{config.task}'")
     train_set = make_dataset(config, config.clips, seed_base=config.seed * 100_003 + 11)
-    eval_set = make_dataset(config, config.eval_clips, seed_base=900_001)
+    eval_set = (make_dataset(config, config.eval_clips, seed_base=900_001)
+                if config.eval_every else [])
 
     params = net.parameters()
     state = AdamState.init(params)

@@ -6,11 +6,13 @@ operator must reproduce the direct-loop plain convolution elementwise.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ls3dconv.conv3d import Conv3dParams, conv3d_backward, conv3d_forward, conv3d_ref
 from ls3dconv.errors import NumericError, ShapeError
 from ls3dconv.ls3d import (Ls3dConv, bilinear_backward, bilinear_sample,
-                           ls3d_backward, ls3d_forward, num_taps)
+                           ls3d_backward, ls3d_forward, num_taps, tap_offsets)
 from ls3dconv.net import make_ls3d_layer
 
 FRAME = np.array([[0.0, 1.0], [2.0, 3.0]])
@@ -174,6 +176,54 @@ class TestReductionOracle:
         masks = np.ones((1, 26, 2, 4, 4))  # one channel short
         with pytest.raises(ShapeError, match="masks"):
             ls3d_forward(x, main, offsets, masks)
+
+
+def definition_sum(x, main, offsets, masks):
+    """y_t(p) = bias + sum_k m^k_t(p) * w_k . x_{t+tau}(p + p^k + dp^k_t(p)), in float64,
+    sampling with the scalar bilinear_sample."""
+    n_, c_in, t_, h, w = x.shape
+    kt, kh, kw = main.kernel
+    y = np.empty((n_, main.out_channels, t_, h, w))
+    for n, t, r, c in np.ndindex(n_, t_, h, w):
+        acc = main.bias.astype(np.float64).copy()
+        for k, tau, pr, pc in tap_offsets(main.kernel):
+            if not 0 <= t + tau < t_:
+                continue
+            point = (r + pr + offsets[n, 2 * k, t, r, c], c + pc + offsets[n, 2 * k + 1, t, r, c])
+            sample = np.array([bilinear_sample(x[n, ci, t + tau], point) for ci in range(c_in)])
+            w_tap = main.weight[:, :, tau + kt // 2, pr + kh // 2, pc + kw // 2]
+            acc += masks[n, k, t, r, c] * (w_tap @ sample)
+        y[n, :, t, r, c] = acc
+    return y
+
+
+class TestDefinitionSum:
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t_=st.sampled_from([1, 2, 5]),
+           hw=st.sampled_from([(3, 5), (6, 4), (5, 7)]))
+    def test_forward_matches_definition(self, seed, t_, hw):
+        """Fractional offsets differing per tap and position, some landing
+        exactly on integers and some fully outside the frame."""
+        rng = np.random.default_rng(seed)
+        h, w = hw
+        x = rng.standard_normal((2, 2, t_, h, w))
+        main = rand_main(rng, 2, 3)
+        taps = num_taps(main.kernel)
+        offsets = rng.uniform(-2.5, 2.5, (2, 2 * taps, t_, h, w))
+        kind = rng.integers(0, 4, offsets.shape)
+        offsets[kind == 1] = np.round(offsets[kind == 1])
+        offsets[kind == 2] = rng.choice([-1.0, 1.0], int(np.sum(kind == 2))) * (max(h, w) + 1.5)
+        masks = rng.uniform(0, 1, (2, taps, t_, h, w))
+        inputs = (x, main.weight, main.bias, offsets, masks)
+        before = [a.copy() for a in inputs]
+
+        y, _ = ls3d_forward(x, main, offsets, masks)
+        np.testing.assert_allclose(y, definition_sum(x, main, offsets, masks),
+                                   rtol=1e-12, atol=1e-12)
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()
+        y2, _ = ls3d_forward(x, main, offsets, masks)
+        assert y2.tobytes() == y.tobytes()
 
 
 class TestLs3dBackward:

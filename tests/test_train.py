@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ls3dconv import train
 from ls3dconv.errors import CheckpointError, NumericError, ShapeError
 from ls3dconv.net import NetworkSpec, build_net
 from ls3dconv.train import (AdamState, TrainConfig, adam_step, clip_grad_norm,
@@ -123,6 +124,20 @@ class TestTrainLoop:
                                   noise_sigma=25.0, learning_rate=2e-3)
         result = train_loop(net, cfg)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
+
+    @pytest.mark.parametrize("eval_every,datasets", [(0, 1), (1, 2)])
+    def test_eval_set_built_only_when_evaluating(self, monkeypatch, eval_every, datasets):
+        built = []
+        make_dataset = train.make_dataset
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return make_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(train, "make_dataset", counting)
+        result = train_loop(small_net(), small_interp_config(epochs=1, eval_every=eval_every))
+        assert len(built) == datasets
+        assert len(result.eval_history) == datasets - 1
 
     def test_loss_csv_byte_identical_across_runs(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
