@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .conv3d import Conv3dParams, conv3d_ref
+from .conv3d import Conv3dParams, conv3d_backward, conv3d_forward
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .gradcheck import gradcheck
-from .ls3d import Ls3dConv, ls3d_forward, num_taps
+from .ls3d import Ls3dConv, ls3d_backward, ls3d_forward, num_taps
 from .net import Conv3dLayer, NetworkSpec, ResBlock, build_net, make_ls3d_layer
-from .train import (TrainConfig, evaluate, load_checkpoint, make_dataset,
-                    save_checkpoint, train_loop, write_loss_csv)
+from .train import (TrainConfig, evaluate, heldout_set, load_checkpoint, make_dataset,
+                    mean_quality, save_checkpoint, train_loop, write_loss_csv)
 from .metrics import write_eval_csv
 from .viz import emit_map_image, sampling_map
 
@@ -72,19 +72,17 @@ SCHEMA: dict = {
     "data.motion": (float, 4.0),
     "data.num_objects": (int, 2),
     "data.noise_sigma": (float, 0.0),
-    "data.background_freq": (float, 0.08),
     "eval.checkpoint": (str, ""),
     "viz.checkpoint": (str, ""),
     "viz.frame": (int, -1),                   # -1: middle output frame
     "viz.row": (int, -1),
     "viz.col": (int, -1),
     "ablate.seeds": (int, 3),
-    "bench.channels": (int, 8),
-    "bench.size": (int, 16),
-    "bench.frames": (int, 3),
     "bench.repeats": (int, 3),
 }
 
+# (name, LS3D block set). Two names may share a block set; ablate trains
+# each distinct set once per seed and reports it under every name.
 ABLATION_VARIANTS: tuple[tuple[str, str], ...] = (
     ("baseline", ""),
     ("res1,2", "1,2"),
@@ -129,6 +127,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"--set expects key=value, got '{item}'")
         key, raw = item.split("=", 1)
         apply(key, raw, "--set")
+    if cfg["net.task"] == "interpolate" and cfg["data.num_frames"] != 5:
+        raise ConfigError(f"data.num_frames = {cfg['data.num_frames']} has no effect on "
+                          "net.task = interpolate, which always uses 5-frame clips")
     return cfg
 
 
@@ -196,6 +197,15 @@ def _announce(path) -> None:
     print(f"wrote {path}")
 
 
+def _write_eval(net, tcfg: TrainConfig, out: Path) -> tuple[float, float]:
+    """Score net on the held-out set, write eval.csv; returns mean (PSNR, SSIM)."""
+    reports = evaluate(net, heldout_set(tcfg))
+    eval_csv = out / "eval.csv"
+    write_eval_csv(eval_csv, reports)
+    _announce(eval_csv)
+    return mean_quality(reports)
+
+
 # --- commands ----------------------------------------------------------------
 
 def cmd_train(cfg: dict, out: Path) -> int:
@@ -210,13 +220,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
     loss_csv = out / "loss.csv"
     write_loss_csv(loss_csv, result.loss_rows)
     _announce(loss_csv)
-    eval_set = make_dataset(tcfg, tcfg.eval_clips, seed_base=900_001)
-    reports = evaluate(net, eval_set)
-    eval_csv = out / "eval.csv"
-    write_eval_csv(eval_csv, reports)
-    _announce(eval_csv)
-    mean_psnr = sum(r.psnr_mean for r in reports) / len(reports)
-    mean_ssim = sum(r.ssim_mean for r in reports) / len(reports)
+    mean_psnr, mean_ssim = _write_eval(net, tcfg, out)
     print(f"final loss {result.epoch_losses[-1]:.6f}, eval PSNR {mean_psnr:.2f} dB, "
           f"SSIM {mean_ssim:.4f}")
     return EXIT_OK
@@ -229,13 +233,7 @@ def cmd_eval(cfg: dict, out: Path) -> int:
     net = build_net(spec, seed=tcfg.seed)
     load_checkpoint(ckpt, net)
     print(f"loaded {ckpt}")
-    eval_set = make_dataset(tcfg, tcfg.eval_clips, seed_base=900_001)
-    reports = evaluate(net, eval_set)
-    eval_csv = out / "eval.csv"
-    write_eval_csv(eval_csv, reports)
-    _announce(eval_csv)
-    mean_psnr = sum(r.psnr_mean for r in reports) / len(reports)
-    mean_ssim = sum(r.ssim_mean for r in reports) / len(reports)
+    mean_psnr, mean_ssim = _write_eval(net, tcfg, out)
     print(f"eval PSNR {mean_psnr:.2f} dB, SSIM {mean_ssim:.4f}")
     return EXIT_OK
 
@@ -279,35 +277,33 @@ def cmd_gradcheck(cfg: dict, out: Path) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _run_variant(args) -> tuple[str, int, float, float]:
-    cfg, variant, blocks, seed = args
+def _run_blocks(args) -> tuple[float, float]:
+    cfg, blocks, seed = args
     spec = network_spec(cfg, ls3d_blocks=blocks)
     tcfg = train_config(cfg)
     tcfg.seed = seed
     net = build_net(spec, seed=seed)
     train_loop(net, tcfg)
-    eval_set = make_dataset(tcfg, tcfg.eval_clips, seed_base=900_001)
-    reports = evaluate(net, eval_set)
-    psnr_m = sum(r.psnr_mean for r in reports) / len(reports)
-    ssim_m = sum(r.ssim_mean for r in reports) / len(reports)
-    return variant, seed, psnr_m, ssim_m
+    return mean_quality(evaluate(net, heldout_set(tcfg)))
 
 
 def cmd_ablate(cfg: dict, out: Path, threads: int) -> int:
     seeds = [cfg["train.seed"] + i for i in range(cfg["ablate.seeds"])]
-    jobs = [(cfg, variant, blocks, seed)
-            for variant, blocks in ABLATION_VARIANTS for seed in seeds]
+    runs = [(variant, blocks, seed) for variant, blocks in ABLATION_VARIANTS for seed in seeds]
+    jobs = list(dict.fromkeys((blocks, seed) for _, blocks, seed in runs))
+    args = [(cfg, blocks, seed) for blocks, seed in jobs]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(_run_variant, jobs))
+            scores = dict(zip(jobs, pool.map(_run_blocks, args)))
     else:
-        runs = [_run_variant(j) for j in jobs]
-    for variant, seed, p, s in runs:
+        scores = dict(zip(jobs, map(_run_blocks, args)))
+    for variant, blocks, seed in runs:
+        p, s = scores[blocks, seed]
         print(f"variant {variant:10s} seed {seed}: PSNR {p:.2f} dB, SSIM {s:.4f}")
 
     table = []
-    for variant, _ in ABLATION_VARIANTS:
-        vruns = [(p, s) for v, _, p, s in runs if v == variant]
+    for variant, blocks in ABLATION_VARIANTS:
+        vruns = [scores[blocks, seed] for seed in seeds]
         psnr_m = sum(p for p, _ in vruns) / len(vruns)
         ssim_m = sum(s for _, s in vruns) / len(vruns)
         table.append((variant, psnr_m, ssim_m))
@@ -331,8 +327,7 @@ def cmd_viz(cfg: dict, out: Path) -> int:
         load_checkpoint(cfg["viz.checkpoint"], net)
         print(f"loaded {cfg['viz.checkpoint']}")
     sample = make_dataset(tcfg, 1, seed_base=700_007)[0]
-    y_shape_t = 5 if spec.task == "interpolate" else tcfg.num_frames
-    frame = cfg["viz.frame"] if cfg["viz.frame"] >= 0 else y_shape_t // 2
+    frame = cfg["viz.frame"] if cfg["viz.frame"] >= 0 else tcfg.num_frames // 2
     row = cfg["viz.row"] if cfg["viz.row"] >= 0 else tcfg.size // 2
     col = cfg["viz.col"] if cfg["viz.col"] >= 0 else tcfg.size // 2
     smap = sampling_map(net, sample.inputs.astype(np.float64), (frame, row, col))
@@ -344,19 +339,28 @@ def cmd_viz(cfg: dict, out: Path) -> int:
 
 
 def cmd_bench(cfg: dict, out: Path) -> int:
-    c = cfg["bench.channels"]
-    size = cfg["bench.size"]
-    t = cfg["bench.frames"]
+    """Time the LS3D operator against the plain conv it replaces, forward and
+    backward, at the input shape of the configured net's last residual block."""
+    spec = network_spec(cfg)
+    tcfg = train_config(cfg)
+    t = 2 if spec.task == "interpolate" else tcfg.num_frames
+    for i in spec.temporal_deconv_after:
+        if i < spec.num_resblocks:
+            t = 2 * t - 1  # a stride-2 temporal deconv before the last block
+    n, c, size = tcfg.batch_size, spec.channels, tcfg.size // 4
     repeats = cfg["bench.repeats"]
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((1, c, t, size, size)).astype(np.float32)
+    x = rng.standard_normal((n, c, t, size, size)).astype(np.float32)
     w = rng.standard_normal((c, c, 3, 3, 3)).astype(np.float32)
     params = Conv3dParams(w, np.zeros(c, dtype=np.float32), padding=(1, 1, 1))
     taps = num_taps((3, 3, 3))
-    offsets = (rng.standard_normal((1, 2 * taps, t, size, size)) * 0.7).astype(np.float32)
-    masks = rng.uniform(0.2, 0.8, (1, taps, t, size, size)).astype(np.float32)
+    offsets = (rng.standard_normal((n, 2 * taps, t, size, size)) * 0.7).astype(np.float32)
+    masks = rng.uniform(0.2, 0.8, (n, taps, t, size, size)).astype(np.float32)
+    grad_y = rng.standard_normal(x.shape).astype(np.float32)
 
-    macs = c * c * 27 * t * size * size  # multiply-adds per call, main kernel
+    # Multiply-adds of the main kernel; a backward does two such GEMMs
+    # (input and weight gradients).
+    macs = n * c * c * taps * t * size * size
 
     def timeit(fn):
         fn()  # warm up
@@ -367,13 +371,19 @@ def cmd_bench(cfg: dict, out: Path) -> int:
             best = min(best, time.perf_counter() - start)
         return best
 
-    t_ref = timeit(lambda: conv3d_ref(x, params))
-    t_ls3d = timeit(lambda: ls3d_forward(x, params, offsets, masks))
-    rows = [("conv3d_ref", t_ref, 1.0 / t_ref, macs / t_ref),
-            ("ls3d_forward", t_ls3d, 1.0 / t_ls3d, macs / t_ls3d)]
-    print(f"shape (1,{c},{t},{size},{size}), kernel 3x3x3, best of {repeats}")
+    _, conv_ctx = conv3d_forward(x, params)
+    _, ls3d_ctx = ls3d_forward(x, params, offsets, masks)
+    ops = [("conv3d_forward", lambda: conv3d_forward(x, params), macs),
+           ("conv3d_backward", lambda: conv3d_backward(conv_ctx, grad_y), 2 * macs),
+           ("ls3d_forward", lambda: ls3d_forward(x, params, offsets, masks), macs),
+           ("ls3d_backward", lambda: ls3d_backward(ls3d_ctx, grad_y), 2 * macs)]
+    rows = []
+    for name, fn, op_macs in ops:
+        secs = timeit(fn)
+        rows.append((name, secs, 1.0 / secs, op_macs / secs))
+    print(f"shape ({n},{c},{t},{size},{size}), kernel 3x3x3, best of {repeats}")
     for name, secs, calls, mps in rows:
-        print(f"{name:14s} {secs * 1e3:9.2f} ms/call  {calls:8.2f} calls/s  "
+        print(f"{name:15s} {secs * 1e3:9.2f} ms/call  {calls:8.2f} calls/s  "
               f"{mps / 1e6:9.1f} MMAC/s")
     path = out / "bench.csv"
     with open(path, "w", newline="") as f:

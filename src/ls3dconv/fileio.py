@@ -1,7 +1,4 @@
-"""Binary file formats: portable tensor files, checkpoints, and PGM images.
-
-Tensor file ("T5F1"): magic, five little-endian u32 dims, a u8 dtype tag
-(0 = float32, 1 = float64), then raw little-endian element data in C order.
+"""Binary file formats: checkpoints and PGM images.
 
 Checkpoint ("LS3D"): magic, u32 version (currently 1), u32 tensor count,
 then per tensor: u16 name length, name bytes (utf-8), u8 ndim, ndim u32
@@ -17,9 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .tensor import check_tensor5
 
-TENSOR_MAGIC = b"T5F1"
 CHECKPOINT_MAGIC = b"LS3D"
 CHECKPOINT_VERSION = 1
 
@@ -32,35 +27,6 @@ def _dtype_tag(arr: np.ndarray) -> int:
     if tag is None:
         raise CheckpointError(f"unsupported dtype {arr.dtype} for binary serialization")
     return tag
-
-
-def save_tensor(path, x: np.ndarray) -> None:
-    """Write a (N, C, T, H, W) float tensor as a T5F1 file."""
-    check_tensor5(x, "save_tensor")
-    tag = _dtype_tag(x)
-    with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<5I", *x.shape))
-        f.write(struct.pack("<B", tag))
-        f.write(np.ascontiguousarray(x, dtype=_TAG_TO_DTYPE[tag]).tobytes())
-
-
-def load_tensor(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 4 or data[:4] != TENSOR_MAGIC:
-        raise CheckpointError(f"{path}: not a T5F1 tensor file")
-    if len(data) < 4 + 20 + 1:
-        raise CheckpointError(f"{path}: truncated T5F1 header")
-    dims = struct.unpack("<5I", data[4:24])
-    tag = data[24]
-    if tag not in _TAG_TO_DTYPE or tag == 2:
-        raise CheckpointError(f"{path}: unknown dtype tag {tag}")
-    dtype = _TAG_TO_DTYPE[tag]
-    count = int(np.prod(dims))
-    body = data[25:]
-    if len(body) != count * dtype.itemsize:
-        raise CheckpointError(f"{path}: expected {count * dtype.itemsize} data bytes, found {len(body)}")
-    return np.frombuffer(body, dtype=dtype).reshape(dims).copy()
 
 
 # --- checkpoint ----------------------------------------------------------

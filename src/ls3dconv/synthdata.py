@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .fileio import write_pgm
 
 __all__ = ["ObjectSpec", "ClipSpec", "ClipPair", "gen_clip", "make_clip_pair",
-           "add_gaussian_noise", "random_clip_spec", "export_clip_pgm"]
+           "add_gaussian_noise", "random_clip_spec"]
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,7 @@ def add_gaussian_noise(frames: np.ndarray, sigma_8bit: float, seed: int) -> np.n
 
 
 def random_clip_spec(seed: int, size: int = 32, motion: float = 4.0,
-                     num_objects: int = 2, num_frames: int = 5,
-                     background_freq: float = 0.08) -> ClipSpec:
+                     num_objects: int = 2, num_frames: int = 5) -> ClipSpec:
     """Randomized scene with fixed motion magnitude but random direction.
 
     Objects start positioned so they stay mostly on-screen over the clip.
@@ -165,17 +163,5 @@ def random_clip_spec(seed: int, size: int = 32, motion: float = 4.0,
         objects.append(ObjectSpec(shape, texture, float(frequency),
                                   (float(velocity[0]), float(velocity[1])),
                                   (float(center[0]), float(center[1])), extent))
-    return ClipSpec(size=(size, size), num_frames=num_frames, objects=tuple(objects),
-                    background_freq=background_freq, seed=seed)
+    return ClipSpec(size=(size, size), num_frames=num_frames, objects=tuple(objects), seed=seed)
 
-
-def export_clip_pgm(frames: np.ndarray, out_dir, prefix: str = "frame") -> list:
-    """One grayscale (channel-averaged) PGM per frame, for eyeballing."""
-    paths = []
-    gray = frames.mean(axis=1)  # (N, T, H, W)
-    for n in range(gray.shape[0]):
-        for t in range(gray.shape[1]):
-            path = f"{out_dir}/{prefix}_n{n}_t{t}.pgm"
-            write_pgm(path, gray[n, t])
-            paths.append(path)
-    return paths

@@ -1,14 +1,11 @@
 """Dense 5-D tensors and elementwise math.
 
 A "Tensor5" is a plain C-contiguous numpy array of shape (N, C, T, H, W),
-dtype float32 or float64, W fastest. Helpers here validate that contract,
-convert between kernel-tap index forms, and provide the handful of
-elementwise ops the layer code needs.
+dtype float32 or float64, W fastest. Helpers here validate that contract
+and provide the two elementwise ops the layer code needs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,55 +44,7 @@ def check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
         raise ShapeError(f"{op}: operand ranks differ: {a.shape} vs {b.shape}")
 
 
-# --- kernel tap indexing ------------------------------------------------
-#
-# The 3x3x3 kernel has 27 taps. Tap k <-> (tau, pn) where tau in {-1,0,1}
-# walks the temporal axis and pn = (row, col) in {-1,0,1}^2 walks the
-# 3x3 spatial grid; k = (tau+1)*9 + (row+1)*3 + (col+1).
-
-NUM_TAPS = 27
-
-
-@dataclass(frozen=True)
-class TapIndex:
-    tau: int
-    pn: tuple[int, int]
-
-    @property
-    def linear(self) -> int:
-        return (self.tau + 1) * 9 + (self.pn[0] + 1) * 3 + (self.pn[1] + 1)
-
-    @classmethod
-    def from_linear(cls, k: int) -> "TapIndex":
-        if not 0 <= k < NUM_TAPS:
-            raise ShapeError(f"tap index must lie in [0, {NUM_TAPS}), got {k}")
-        tau, rest = divmod(k, 9)
-        row, col = divmod(rest, 3)
-        return cls(tau - 1, (row - 1, col - 1))
-
-
-ALL_TAPS = tuple(TapIndex.from_linear(k) for k in range(NUM_TAPS))
-
-
 # --- elementwise ops ----------------------------------------------------
-
-def ew_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    check_same_shape(a, b, "add")
-    return a + b
-
-
-def ew_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    check_same_shape(a, b, "sub")
-    return a - b
-
-
-def ew_scale(a: np.ndarray, alpha: float) -> np.ndarray:
-    return a * a.dtype.type(alpha)
-
-
-def relu(a: np.ndarray) -> np.ndarray:
-    return np.maximum(a, 0)
-
 
 def relu_backward(grad_out: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
     """Mask the upstream gradient where the forward input was <= 0."""

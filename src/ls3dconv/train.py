@@ -127,6 +127,15 @@ def make_dataset(cfg: TrainConfig, count: int, seed_base: int) -> list[Sample]:
     return [maker(seed_base + 977 * i, cfg) for i in range(count)]
 
 
+# Seed base of the held-out set, kept apart from the training seed bases.
+HELDOUT_SEED = 900_001
+
+
+def heldout_set(cfg: TrainConfig) -> list[Sample]:
+    """The cfg.eval_clips clips that train, eval and ablate all score on."""
+    return make_dataset(cfg, cfg.eval_clips, seed_base=HELDOUT_SEED)
+
+
 # --- loops -------------------------------------------------------------------
 
 def evaluate(net: VINet, samples: list[Sample]) -> list[EvalReport]:
@@ -135,6 +144,13 @@ def evaluate(net: VINet, samples: list[Sample]) -> list[EvalReport]:
         pred = net.forward(s.inputs)
         reports.append(evaluate_pair(i, pred[:, :, s.eval_slice], s.eval_targets))
     return reports
+
+
+def mean_quality(reports: list[EvalReport]) -> tuple[float, float]:
+    """(PSNR, SSIM) averaged over the per-clip means of reports."""
+    psnr_m = sum(r.psnr_mean for r in reports) / len(reports)
+    ssim_m = sum(r.ssim_mean for r in reports) / len(reports)
+    return psnr_m, ssim_m
 
 
 @dataclass
@@ -151,8 +167,7 @@ def train_loop(net: VINet, config: TrainConfig,
         raise ShapeError(f"net task '{net.spec.task}' does not match "
                          f"config task '{config.task}'")
     train_set = make_dataset(config, config.clips, seed_base=config.seed * 100_003 + 11)
-    eval_set = (make_dataset(config, config.eval_clips, seed_base=900_001)
-                if config.eval_every else [])
+    eval_set = heldout_set(config) if config.eval_every else []
 
     params = net.parameters()
     state = AdamState.init(params)
@@ -187,10 +202,7 @@ def train_loop(net: VINet, config: TrainConfig,
             losses.append(loss)
         epoch_losses.append(sum(losses) / len(losses))
         if config.eval_every and epoch % config.eval_every == 0:
-            reps = evaluate(net, eval_set)
-            psnr_m = sum(r.psnr_mean for r in reps) / len(reps)
-            ssim_m = sum(r.ssim_mean for r in reps) / len(reps)
-            eval_history.append((epoch, psnr_m, ssim_m))
+            eval_history.append((epoch, *mean_quality(evaluate(net, eval_set))))
 
     return TrainResult(rows, epoch_losses, eval_history, adam_state=state)
 

@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from ls3dconv import cli
 from ls3dconv.cli import (ABLATION_VARIANTS, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           EXIT_SHAPE, load_config, main)
 from ls3dconv.errors import ConfigError
@@ -46,9 +47,19 @@ class TestConfig:
             load_config(None, ["net.channels=many"])
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
-        code = main(["train", "--set", "net.numblocks=4", "--out", str(tmp_path)])
+        for key in ("net.numblocks=4", "data.background_freq=0.5"):
+            code = main(["train", "--set", key, "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert key.split("=")[0] in capsys.readouterr().err
+
+    def test_num_frames_rejected_for_interpolation(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="data.num_frames"):
+            load_config(None, ["data.num_frames=9"])
+        code = main(["train", *TINY, "--set", "data.num_frames=9", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
-        assert "net.numblocks" in capsys.readouterr().err
+        assert "data.num_frames" in capsys.readouterr().err
+        cfg = load_config(None, ["net.task=denoise", "data.num_frames=9"])
+        assert cfg["data.num_frames"] == 9
 
 
 class TestTrainCommand:
@@ -79,6 +90,15 @@ class TestEvalCommand:
         code = main(["eval", *TINY, "--out", str(tmp_path)])
         assert code == EXIT_OK
 
+    def test_eval_csv_matches_train(self, tmp_path):
+        """train and eval score the same held-out set the same way."""
+        trained, evaluated = tmp_path / "train", tmp_path / "eval"
+        assert main(["train", *TINY, "--out", str(trained), "--seed", "1"]) == EXIT_OK
+        code = main(["eval", *TINY, "--out", str(evaluated), "--seed", "1",
+                     "--set", f"eval.checkpoint={trained / 'checkpoint.ls3d'}"])
+        assert code == EXIT_OK
+        assert (trained / "eval.csv").read_bytes() == (evaluated / "eval.csv").read_bytes()
+
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         code = main(["eval", *TINY, "--out", str(tmp_path),
                      "--set", "eval.checkpoint=/nonexistent.ls3d"])
@@ -104,6 +124,25 @@ class TestAblateCommand:
         assert len(rows) == 7
         assert [r["variant"] for r in rows] == [v for v, _ in ABLATION_VARIANTS]
 
+    def test_shared_block_set_trained_once(self, tmp_path, monkeypatch):
+        """res5,6 and 2-LS3D share blocks 5,6: 6 trainings per seed, not 7."""
+        calls = []
+        real = cli.train_loop
+
+        def counting(net, config):
+            calls.append(config.seed)
+            return real(net, config)
+
+        monkeypatch.setattr(cli, "train_loop", counting)
+        code = main(["ablate", *TINY, "--set", "ablate.seeds=2", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert len(calls) == 12
+        with open(tmp_path / "ablation.csv") as f:
+            rows = {r["variant"]: r for r in csv.DictReader(f)}
+        assert len(rows) == 7
+        assert rows["res5,6"]["psnr_db"] == rows["2-LS3D"]["psnr_db"]
+        assert rows["res5,6"]["ssim"] == rows["2-LS3D"]["ssim"]
+
     def test_parallel_matches_variant_list(self, tmp_path):
         code = main(["ablate", *TINY, "--set", "ablate.seeds=1", "--threads", "2",
                      "--out", str(tmp_path)])
@@ -126,10 +165,11 @@ class TestVizCommand:
 
 class TestBenchCommand:
     def test_reports_both_ops(self, tmp_path, capsys):
-        code = main(["bench", "--set", "bench.channels=2", "--set", "bench.size=8",
-                     "--set", "bench.frames=2", "--set", "bench.repeats=1",
-                     "--out", str(tmp_path)])
+        """LS3D and plain conv, forward and backward, at the last block's shape."""
+        code = main(["bench", *TINY, "--set", "bench.repeats=1", "--out", str(tmp_path)])
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "conv3d_ref" in out and "ls3d_forward" in out
-        assert (tmp_path / "bench.csv").exists()
+        assert "shape (2,4,5,4,4)" in out
+        with open(tmp_path / "bench.csv") as f:
+            ops = [r["op"] for r in csv.DictReader(f)]
+        assert ops == ["conv3d_forward", "conv3d_backward", "ls3d_forward", "ls3d_backward"]

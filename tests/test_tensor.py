@@ -1,12 +1,12 @@
-"""Tensor contract, tap indexing, elementwise ops, and the tensor file."""
+"""Tensor contract, elementwise ops, and PGM images."""
 
 import numpy as np
 import pytest
 
-from ls3dconv.errors import CheckpointError, ShapeError
-from ls3dconv.fileio import load_tensor, read_pgm, save_tensor, write_pgm
-from ls3dconv.tensor import (ALL_TAPS, TapIndex, check_tensor5, ew_add, ew_scale,
-                             ew_sub, relu, relu_backward, sigmoid, tensor5)
+from ls3dconv.errors import ShapeError
+from ls3dconv.fileio import read_pgm, write_pgm
+from ls3dconv.tensor import (check_same_shape, check_tensor5, relu_backward, sigmoid,
+                             tensor5)
 
 
 class TestTensor5:
@@ -26,6 +26,12 @@ class TestTensor5:
         with pytest.raises(ShapeError, match="dtype"):
             check_tensor5(np.zeros((1, 1, 1, 1, 1), dtype=np.int32))
 
+    def test_shape_mismatch_names_axis(self):
+        a = np.zeros((1, 1, 1, 1, 2), dtype=np.float32)
+        b = np.zeros((1, 1, 1, 1, 3), dtype=np.float32)
+        with pytest.raises(ShapeError, match="W"):
+            check_same_shape(a, b, "sub")
+
     @pytest.mark.parametrize("seed", range(5))
     def test_index_bijectivity(self, seed):
         """(n,c,t,h,w) <-> flat offset is a bijection for random shapes."""
@@ -38,78 +44,17 @@ class TestTensor5:
         assert np.unravel_index(flat, shape) == idx
 
 
-class TestTapIndex:
-    def test_linear_formula(self):
-        t = TapIndex(tau=0, pn=(-1, 1))
-        assert t.linear == 1 * 9 + 0 * 3 + 2
-
-    def test_bijective_over_27(self):
-        seen = {tap.linear for tap in ALL_TAPS}
-        assert seen == set(range(27))
-        for k in range(27):
-            assert TapIndex.from_linear(k).linear == k
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ShapeError):
-            TapIndex.from_linear(27)
-
-
 class TestElementwise:
-    def test_add(self):
-        a = tensor5(np.full((1, 1, 1, 1, 2), 1.0))
-        b = tensor5(np.full((1, 1, 1, 1, 2), 3.0))
-        np.testing.assert_array_equal(ew_add(a, b).ravel(), [4, 4])
-
-    def test_sub_shape_mismatch(self):
-        a = np.zeros((1, 1, 1, 1, 2), dtype=np.float32)
-        b = np.zeros((1, 1, 1, 1, 3), dtype=np.float32)
-        with pytest.raises(ShapeError, match="W"):
-            ew_sub(a, b)
-
-    def test_relu(self):
-        x = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(relu(x), [0, 0, 2])
-
     def test_relu_backward_masks_nonpositive(self):
         x = np.array([-1.0, 0.0, 2.0])
         g = np.array([5.0, 5.0, 5.0])
         np.testing.assert_array_equal(relu_backward(g, x), [0, 0, 5])
-
-    def test_scale_by_zero(self):
-        x = np.ones((1, 1, 1, 1, 3), dtype=np.float32)
-        assert np.all(ew_scale(x, 0.0) == 0)
 
     def test_sigmoid_extremes_stay_finite(self):
         x = np.array([-1e4, 0.0, 1e4], dtype=np.float32)
         s = sigmoid(x)
         assert np.all(np.isfinite(s))
         np.testing.assert_allclose(s, [0.0, 0.5, 1.0], atol=1e-6)
-
-
-class TestTensorFile:
-    def test_roundtrip_both_dtypes(self, tmp_path):
-        rng = np.random.default_rng(0)
-        for dtype in (np.float32, np.float64):
-            x = rng.standard_normal((2, 3, 2, 4, 5)).astype(dtype)
-            p = tmp_path / f"t_{np.dtype(dtype).name}.t5"
-            save_tensor(p, x)
-            y = load_tensor(p)
-            assert y.dtype == dtype
-            np.testing.assert_array_equal(x, y)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "bad.t5"
-        p.write_bytes(b"XXXX" + b"\x00" * 40)
-        with pytest.raises(CheckpointError, match="T5F1"):
-            load_tensor(p)
-
-    def test_truncated_rejected(self, tmp_path):
-        x = np.zeros((1, 1, 1, 1, 4), dtype=np.float32)
-        p = tmp_path / "trunc.t5"
-        save_tensor(p, x)
-        p.write_bytes(p.read_bytes()[:-3])
-        with pytest.raises(CheckpointError, match="bytes"):
-            load_tensor(p)
 
 
 class TestPgm:
