@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import multiprocessing
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -287,16 +289,35 @@ def _run_blocks(args) -> tuple[float, float]:
     return mean_quality(evaluate(net, heldout_set(tcfg)))
 
 
+def map_in_workers(fn, args, workers: int) -> list:
+    """list(map(fn, args)) over `workers` spawned processes, one BLAS thread each.
+
+    A forked worker would inherit this process's BLAS thread pool, whose
+    extra threads only compete with the other workers. A spawned worker
+    loads numpy afresh, and OpenBLAS reads OPENBLAS_NUM_THREADS as it
+    loads, so the variable is set while the pool runs, then restored.
+    This process's own pool already exists and keeps its thread count.
+    """
+    saved = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, args))
+    finally:
+        if saved is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = saved
+
+
 def cmd_ablate(cfg: dict, out: Path, threads: int) -> int:
     seeds = [cfg["train.seed"] + i for i in range(cfg["ablate.seeds"])]
     runs = [(variant, blocks, seed) for variant, blocks in ABLATION_VARIANTS for seed in seeds]
     jobs = list(dict.fromkeys((blocks, seed) for _, blocks, seed in runs))
     args = [(cfg, blocks, seed) for blocks, seed in jobs]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            scores = dict(zip(jobs, pool.map(_run_blocks, args)))
-    else:
-        scores = dict(zip(jobs, map(_run_blocks, args)))
+    mapped = map_in_workers(_run_blocks, args, threads) if threads > 1 else map(_run_blocks, args)
+    scores = dict(zip(jobs, mapped))
     for variant, blocks, seed in runs:
         p, s = scores[blocks, seed]
         print(f"variant {variant:10s} seed {seed}: PSNR {p:.2f} dB, SSIM {s:.4f}")

@@ -6,8 +6,21 @@ Two routes exist on purpose:
   implementations of the definition sums. Slow, obvious, and used as the
   correctness oracle for everything faster.
 * ``conv3d_forward`` / ``conv3d_transpose_forward`` (+ backwards): the
-  gathered im2col-style path used by the network code. Must agree with the
+  gathered im2col route used by the network code. Must agree with the
   reference route to float tolerance; the tests enforce that.
+
+The gathered route lays the zero-padded input out channels last,
+(N, T, H, W, C), and copies one contiguous column matrix
+(N*To*Ho*Wo, K*C) out of a strided view of it: one row per output point,
+tap-major then channel, so the copy moves runs of K_w*C values. Every
+product is then one 2-D GEMM: the conv forward, both weight gradients
+(columns.T @ grad) and the transposed conv's input gradient. The conv's
+input gradient and the transposed forward are the same adjoint. At
+stride 1 that adjoint is the same gather, over the other tensor padded
+by K-1-p, with the kernel flipped and its channel axes swapped. At a
+larger stride (the encoder's input gradients, the decoder's and the
+temporal deconvs' forwards) it stays an overlap-add: one GEMM, then one
+strided ``+=`` per tap, channels first so that each reads runs of W values.
 
 Convolution means cross-correlation (no kernel flip) with zero padding.
 Weight layout is (C_out, C_in, K_t, K_h, K_w) for forward convolutions.
@@ -175,21 +188,84 @@ def conv3d_transpose_ref(x: np.ndarray, params: Conv3dParams) -> np.ndarray:
 
 # --- gathered (im2col) route ----------------------------------------------
 
-def _im2col(xp: np.ndarray, kernel: Triple, stride: Triple, out_shape: Triple) -> np.ndarray:
-    """Strided view (N, C, Kt, Kh, Kw, To, Ho, Wo) over the padded input."""
-    n_, c_ = xp.shape[:2]
-    sn, sc, st_, sh_, sw_ = xp.strides
+def _channels_last(f: np.ndarray) -> np.ndarray:
+    """(N, C, T, H, W) -> (N*T*H*W, C)."""
+    return f.transpose(0, 2, 3, 4, 1).reshape(-1, f.shape[1])
+
+
+def _channels_first(f: np.ndarray, shape) -> np.ndarray:
+    """(N*T*H*W, C) -> contiguous (N, C, T, H, W) for shape (N, T, H, W)."""
+    return np.ascontiguousarray(f.reshape(*shape, -1).transpose(0, 4, 1, 2, 3))
+
+
+def _gemm_weight(weight: np.ndarray) -> np.ndarray:
+    """(A, B, K_t, K_h, K_w) -> (K*B, A), rows tap-major then channel, the
+    row order of `_columns`."""
+    return weight.transpose(2, 3, 4, 1, 0).reshape(-1, weight.shape[0])
+
+
+def _gemm_weight_inverse(m: np.ndarray, kernel: Triple) -> np.ndarray:
+    """(K*B, A) -> contiguous (A, B, K_t, K_h, K_w); undoes `_gemm_weight`."""
+    return np.ascontiguousarray(m.reshape(*kernel, -1, m.shape[1]).transpose(4, 3, 0, 1, 2))
+
+
+def _pad_channels_last(x: np.ndarray, pads: Triple) -> np.ndarray:
+    """(N, C, T, H, W) -> (N, T+2p_t, H+2p_h, W+2p_w, C), zero-padded by
+    `pads` at both ends of each axis; a negative pad crops instead."""
+    crop = tuple(slice(max(-p, 0), s - max(-p, 0)) for s, p in zip(x.shape[2:], pads))
+    x = x[(slice(None), slice(None), *crop)]
+    pads = tuple(max(p, 0) for p in pads)
+    n_, c_, *size = x.shape
+    xp = np.zeros((n_, *(s + 2 * p for s, p in zip(size, pads)), c_), dtype=x.dtype)
+    xp[(slice(None), *(slice(p, p + s) for s, p in zip(size, pads)))] = x.transpose(0, 2, 3, 4, 1)
+    return xp
+
+
+def _columns(xp: np.ndarray, kernel: Triple, stride: Triple, out_shape: Triple) -> np.ndarray:
+    """Column matrix (N*To*Ho*Wo, K*C) of a padded channels-last input.
+
+    One row per output point, tap-major then channel. It is copied out of
+    a strided (N, To, Ho, Wo, Kt, Kh, Kw, C) view, whose last two axes are
+    contiguous in `xp`, so the copy moves runs of K_w*C values.
+    """
+    sn, st_, sh_, sw_, sc = xp.strides
     st, sh, sw = stride
-    shape = (n_, c_) + tuple(kernel) + tuple(out_shape)
-    strides = (sn, sc, st_, sh_, sw_, st_ * st, sh_ * sh, sw_ * sw)
-    return as_strided(xp, shape=shape, strides=strides)
+    view = as_strided(xp, shape=(xp.shape[0],) + tuple(out_shape) + tuple(kernel) + xp.shape[-1:],
+                      strides=(sn, st_ * st, sh_ * sh, sw_ * sw, st_, sh_, sw_, sc))
+    return view.reshape(-1, int(np.prod(kernel)) * xp.shape[-1])
 
 
-def _pad(x: np.ndarray, padding: Triple) -> np.ndarray:
-    pt, ph, pw = padding
-    if pt == ph == pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
+def _adjoint(z: np.ndarray, weight: np.ndarray, stride: Triple, padding: Triple,
+             out_shape: Triple) -> np.ndarray:
+    """Transposed convolution of z (N, A, T, H, W) by weight (A, B, K...),
+    without bias: the conv's input gradient and the transposed forward.
+
+    At stride 1 it is a gather: a forward conv of z padded by K-1-p with
+    the flipped kernel, its channel axes swapped. At a larger stride it is
+    an overlap-add of one GEMM's columns, one strided `+=` per tap, kept
+    channels first so that each `+=` reads runs of W values whatever the
+    channel count.
+    """
+    kernel = weight.shape[2:]
+    n_, a_ = z.shape[:2]
+    if tuple(stride) == (1, 1, 1):
+        zp = _pad_channels_last(z, tuple(k - 1 - p for k, p in zip(kernel, padding)))
+        flipped = weight[:, :, ::-1, ::-1, ::-1].swapaxes(0, 1)
+        y = _columns(zp, kernel, stride, out_shape) @ _gemm_weight(flipped)
+        return _channels_first(y, (n_,) + tuple(out_shape))
+    b_ = weight.shape[1]
+    in_shape = z.shape[2:]
+    full = tuple((s - 1) * st + k for s, st, k in zip(in_shape, stride, kernel))
+    ext = tuple(max(f, p + o) for f, p, o in zip(full, padding, out_shape))
+    cols = weight.reshape(a_, -1).T @ z.swapaxes(0, 1).reshape(a_, -1)
+    cols = cols.reshape(b_, *kernel, n_, *in_shape)               # (B, Kt, Kh, Kw, N, T, H, W)
+    ypad = np.zeros((n_, b_) + ext, dtype=cols.dtype)
+    (t_, h_, w_), (st, sh, sw) = in_shape, stride
+    for jt, jh, jw in np.ndindex(*kernel):
+        ypad[:, :, jt:jt + st * t_:st, jh:jh + sh * h_:sh, jw:jw + sw * w_:sw] += \
+            cols[:, jt, jh, jw].swapaxes(0, 1)
+    (pt, ph, pw), (ot, oh, ow) = padding, out_shape
+    return np.ascontiguousarray(ypad[:, :, pt:pt + ot, ph:ph + oh, pw:pw + ow])
 
 
 def conv3d_forward(x: np.ndarray, params: Conv3dParams):
@@ -200,36 +276,22 @@ def conv3d_forward(x: np.ndarray, params: Conv3dParams):
     out_shape = tuple(conv_out_shape(s, k, st, p, ax)
                       for s, k, st, p, ax in zip(x.shape[2:], params.kernel,
                                                  params.stride, params.padding, "THW"))
-    xp = _pad(x, params.padding)
-    patches = _im2col(xp, params.kernel, params.stride, out_shape)
-    y = np.tensordot(params.weight, patches, axes=([1, 2, 3, 4], [1, 2, 3, 4]))
-    y = np.ascontiguousarray(y.transpose(1, 0, 2, 3, 4))
-    y += params.bias[None, :, None, None, None].astype(y.dtype)
+    xp = _pad_channels_last(x, params.padding)
+    y = _columns(xp, params.kernel, params.stride, out_shape) @ _gemm_weight(params.weight)
+    y += params.bias.astype(y.dtype)
     ctx = (x.shape, xp, params, out_shape)
-    return y, ctx
+    return _channels_first(y, (x.shape[0],) + out_shape), ctx
 
 
 def conv3d_backward(ctx, grad_y: np.ndarray):
     """Gradients of conv3d_forward: (grad_x, grad_w, grad_b)."""
     x_shape, xp, params, out_shape = ctx
-    patches = _im2col(xp, params.kernel, params.stride, out_shape)
-    grad_w = np.tensordot(grad_y, patches, axes=([0, 2, 3, 4], [0, 5, 6, 7]))
+    columns = _columns(xp, params.kernel, params.stride, out_shape)
+    grad_w = _gemm_weight_inverse(columns.T @ _channels_last(grad_y), params.kernel)
+    del columns  # the adjoint's gather builds its own column matrix
     grad_b = grad_y.sum(axis=(0, 2, 3, 4))
-    # Scatter w^T @ grad_y back onto the padded grid, one kernel tap at a time;
-    # taps hit disjoint strided slices so plain += is race-free.
-    cols = np.tensordot(params.weight, grad_y, axes=([0], [1]))  # (C, Kt, Kh, Kw, N, To, Ho, Wo)
-    gxp = np.zeros_like(xp)
-    st, sh, sw = params.stride
-    to, ho, wo = out_shape
-    for jt in range(params.kernel[0]):
-        for jh in range(params.kernel[1]):
-            for jw in range(params.kernel[2]):
-                gxp[:, :, jt:jt + st * to:st, jh:jh + sh * ho:sh, jw:jw + sw * wo:sw] += \
-                    cols[:, jt, jh, jw].transpose(1, 0, 2, 3, 4)
-    pt, ph, pw = params.padding
-    t_in, h_in, w_in = x_shape[2:]
-    grad_x = gxp[:, :, pt:pt + t_in, ph:ph + h_in, pw:pw + w_in]
-    return np.ascontiguousarray(grad_x), grad_w, grad_b
+    grad_x = _adjoint(grad_y, params.weight, params.stride, params.padding, x_shape[2:])
+    return grad_x, grad_w, grad_b
 
 
 def conv3d_transpose_forward(x: np.ndarray, params: Conv3dParams):
@@ -237,42 +299,28 @@ def conv3d_transpose_forward(x: np.ndarray, params: Conv3dParams):
     if not params.transposed:
         raise ShapeError("conv3d_transpose_forward: params.transposed must be true")
     _check_input(x, params, "conv3d_transpose")
-    n_, c_in, t_in, h_in, w_in = x.shape
-    kt, kh, kw = params.kernel
-    st, sh, sw = params.stride
-    pt, ph, pw = params.padding
-    out_shape = tuple(conv_transpose_out_shape(s, k, st_, p, op)
-                      for s, k, st_, p, op in zip((t_in, h_in, w_in), (kt, kh, kw),
-                                                  (st, sh, sw), (pt, ph, pw),
-                                                  params.output_padding))
+    out_shape = tuple(conv_transpose_out_shape(s, k, st, p, op)
+                      for s, k, st, p, op in zip(x.shape[2:], params.kernel, params.stride,
+                                                 params.padding, params.output_padding))
     for name, o in zip("THW", out_shape):
         if o < 1:
             raise ShapeError(f"transposed conv output along {name} would be empty ({o})")
-    full = ((t_in - 1) * st + kt, (h_in - 1) * sh + kh, (w_in - 1) * sw + kw)
-    ext = tuple(max(f, p + o) for f, p, o in zip(full, (pt, ph, pw), out_shape))
-    ypad = np.zeros((n_, params.out_channels) + ext, dtype=x.dtype)
-    cols = np.tensordot(params.weight, x, axes=([0], [1]))  # (Co, Kt, Kh, Kw, N, T, H, W)
-    for jt in range(kt):
-        for jh in range(kh):
-            for jw in range(kw):
-                ypad[:, :, jt:jt + st * t_in:st, jh:jh + sh * h_in:sh, jw:jw + sw * w_in:sw] += \
-                    cols[:, jt, jh, jw].transpose(1, 0, 2, 3, 4)
-    y = np.ascontiguousarray(ypad[:, :, pt:pt + out_shape[0], ph:ph + out_shape[1], pw:pw + out_shape[2]])
+    y = _adjoint(x, params.weight, params.stride, params.padding, out_shape)
     y += params.bias[None, :, None, None, None].astype(y.dtype)
     ctx = (x, params, out_shape)
     return y, ctx
 
 
 def conv3d_transpose_backward(ctx, grad_y: np.ndarray):
-    """Gradients of conv3d_transpose_forward: (grad_x, grad_w, grad_b)."""
+    """Gradients of conv3d_transpose_forward: (grad_x, grad_w, grad_b).
+
+    The input gradient gathers from grad_y exactly like a forward conv
+    whose weight is the stored (C_in, C_out, ...) array.
+    """
     x, params, out_shape = ctx
-    # Input gradient: gather from grad_y exactly like a forward conv whose
-    # weight is the stored (C_in, C_out, ...) array.
-    gyp = _pad(grad_y, params.padding)
-    in_shape = x.shape[2:]
-    patches = _im2col(gyp, params.kernel, params.stride, in_shape)
-    grad_x = np.tensordot(params.weight, patches, axes=([1, 2, 3, 4], [1, 2, 3, 4]))
-    grad_x = np.ascontiguousarray(grad_x.transpose(1, 0, 2, 3, 4))
-    grad_w = np.tensordot(x, patches, axes=([0, 2, 3, 4], [0, 5, 6, 7]))
+    gyp = _pad_channels_last(grad_y, params.padding)
+    columns = _columns(gyp, params.kernel, params.stride, x.shape[2:])
+    grad_x = _channels_first(columns @ _gemm_weight(params.weight), (x.shape[0],) + x.shape[2:])
+    grad_w = _gemm_weight_inverse(columns.T @ _channels_last(x), params.kernel)
     grad_b = grad_y.sum(axis=(0, 2, 3, 4))
     return grad_x, grad_w, grad_b

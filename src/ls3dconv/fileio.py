@@ -8,6 +8,7 @@ embedded config-echo blob; numeric tensors use tags 0/1.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -32,18 +33,31 @@ def _dtype_tag(arr: np.ndarray) -> int:
 # --- checkpoint ----------------------------------------------------------
 
 def save_named_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
-        for name, arr in tensors.items():
-            raw = name.encode("utf-8")
-            tag = _dtype_tag(arr)
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(struct.pack("<B", tag))
-            f.write(np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[tag]).tobytes())
+    """Write a checkpoint file, atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces `path`. A write that fails part-way removes the temporary
+    file and leaves any previous file at `path` as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
+            for name, arr in tensors.items():
+                raw = name.encode("utf-8")
+                tag = _dtype_tag(arr)
+                f.write(struct.pack("<H", len(raw)))
+                f.write(raw)
+                f.write(struct.pack("<B", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(struct.pack("<B", tag))
+                f.write(np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[tag]).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_named_tensors(path) -> dict[str, np.ndarray]:

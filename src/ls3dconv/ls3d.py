@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv3d import Conv3dParams, conv3d_backward, conv3d_forward
+from .conv3d import (Conv3dParams, _channels_first, _channels_last, _gemm_weight,
+                     _gemm_weight_inverse, conv3d_backward, conv3d_forward)
 from .errors import NumericError, ShapeError
 from .tensor import check_tensor5, sigmoid
 
@@ -157,21 +158,6 @@ def _gather(frames: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.take(frames, rows, axis=0, out=out, mode="clip")
 
 
-def _channels_last(f: np.ndarray) -> np.ndarray:
-    """(N, C, T, H, W) -> (N*T*H*W, C)."""
-    return f.transpose(0, 2, 3, 4, 1).reshape(-1, f.shape[1])
-
-
-def _channels_first(f: np.ndarray, shape) -> np.ndarray:
-    """(N*T*H*W, C) -> contiguous (N, C, T, H, W) for shape (N, T, H, W)."""
-    return np.ascontiguousarray(f.reshape(*shape, -1).transpose(0, 4, 1, 2, 3))
-
-
-def _weight_matrix(params: Conv3dParams) -> np.ndarray:
-    """(C_out, C_in, K_t, K_h, K_w) -> (K*C_in, C_out), tap-major rows."""
-    return params.weight.transpose(2, 3, 4, 1, 0).reshape(-1, params.out_channels)
-
-
 def _validate_fields(x, params: Conv3dParams, offsets, masks):
     check_tensor5(x, "ls3d input")
     if params.transposed:
@@ -191,10 +177,11 @@ def _validate_fields(x, params: Conv3dParams, offsets, masks):
         if f.shape != (grid[0], ch, *grid[1:]):
             raise ShapeError(f"ls3d: {name} must have shape {(grid[0], ch, *grid[1:])}, "
                              f"got {f.shape}")
-    if not np.isfinite(offsets).all():
-        bad = int(np.flatnonzero(~np.isfinite(offsets))[0])
-        raise NumericError(f"ls3d: non-finite offset at flat index {bad} "
-                           f"(shape {offsets.shape})")
+    for name, f in (("input", x), ("offsets", offsets), ("masks", masks)):
+        if not np.isfinite(f).all():
+            bad = int(np.flatnonzero(~np.isfinite(f))[0])
+            raise NumericError(f"ls3d: non-finite {name} at flat index {bad} "
+                               f"(shape {f.shape})")
 
 
 def ls3d_forward(x: np.ndarray, params: Conv3dParams, offsets: np.ndarray,
@@ -214,7 +201,8 @@ def ls3d_forward(x: np.ndarray, params: Conv3dParams, offsets: np.ndarray,
     sampled = sampled.reshape(-1, taps, c_in)                        # (N*T*P, K, C)
 
     columns = (sampled * _channels_last(masks)[:, :, None]).reshape(-1, taps * c_in)
-    y = _channels_first(columns @ _weight_matrix(params), (n_, t_, h, w)).astype(x.dtype, copy=False)
+    y = _channels_first(columns @ _gemm_weight(params.weight), (n_, t_, h, w))
+    y = y.astype(x.dtype, copy=False)
     y += params.bias[None, :, None, None, None].astype(x.dtype)
     ctx = (x, params, offsets, masks, (frames, idx, weights, frac, sampled))
     return y, ctx
@@ -238,12 +226,12 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
     gy = _channels_last(grad_y)                                       # (N*T*P, C_out)
     msk = _channels_last(masks)[:, :, None]                           # (N*T*P, K, 1)
     columns = (sampled * msk).reshape(-1, taps * c_in)
-    grad_w = (columns.T @ gy).reshape(*params.kernel, c_in, -1).transpose(4, 3, 0, 1, 2)
-    grad_w = np.ascontiguousarray(grad_w, dtype=params.weight.dtype)
+    grad_w = _gemm_weight_inverse(columns.T @ gy, params.kernel)
+    grad_w = grad_w.astype(params.weight.dtype, copy=False)
     grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
 
     # dL/d(m*sampled) per input channel, then split by product rule.
-    g_mod = (gy @ _weight_matrix(params).T).reshape(-1, taps, c_in)
+    g_mod = (gy @ _gemm_weight(params.weight).T).reshape(-1, taps, c_in)
     grad_masks = _channels_first(np.einsum("ikc,ikc->ik", g_mod, sampled), grid)
     g_samp = g_mod * msk                                              # (N*T*P, K, C)
 

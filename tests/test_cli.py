@@ -1,12 +1,16 @@
 """Command-line surface: config handling, exit codes, artifacts."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ls3dconv import cli
 from ls3dconv.cli import (ABLATION_VARIANTS, EXIT_CONFIG, EXIT_IO, EXIT_OK,
-                          EXIT_SHAPE, load_config, main)
+                          EXIT_SHAPE, load_config, main, map_in_workers)
 from ls3dconv.errors import ConfigError
 
 TINY = [
@@ -79,6 +83,23 @@ class TestTrainCommand:
         assert main(["train", *TINY, "--out", str(b), "--seed", "5"]) == EXIT_OK
         assert (a / "loss.csv").read_bytes() == (b / "loss.csv").read_bytes()
 
+    def test_loss_csv_independent_of_blas_threads(self, tmp_path):
+        """One BLAS thread or two give the same loss.csv bytes. 32 channels
+        make the GEMMs large enough for OpenBLAS to split them over threads."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run(
+                [sys.executable, "-m", "ls3dconv", "train", *TINY, "--set", "net.channels=32",
+                 "--seed", "3", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            csvs.append((out / "loss.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_shape_error_exit_code(self, tmp_path):
         code = main(["train", *TINY, "--set", "data.size=30", "--out", str(tmp_path)])
         assert code == EXIT_SHAPE
@@ -144,11 +165,20 @@ class TestAblateCommand:
         assert rows["res5,6"]["ssim"] == rows["2-LS3D"]["ssim"]
 
     def test_parallel_matches_variant_list(self, tmp_path):
-        code = main(["ablate", *TINY, "--set", "ablate.seeds=1", "--threads", "2",
-                     "--out", str(tmp_path)])
-        assert code == EXIT_OK
-        with open(tmp_path / "ablation.csv") as f:
-            assert len(list(csv.DictReader(f))) == 7
+        """--threads 2 writes the same ablation.csv bytes as --threads 1."""
+        for threads in ("1", "2"):
+            code = main(["ablate", *TINY, "--set", "ablate.seeds=1", "--threads", threads,
+                         "--out", str(tmp_path / threads)])
+            assert code == EXIT_OK
+        parallel = (tmp_path / "2" / "ablation.csv").read_bytes()
+        assert parallel == (tmp_path / "1" / "ablation.csv").read_bytes()
+        assert len(parallel.decode().splitlines()) == 1 + 7
+
+    def test_workers_get_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        seen = map_in_workers(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2, workers=2)
+        assert seen == ["1", "1"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 class TestVizCommand:

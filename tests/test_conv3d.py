@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ls3dconv.conv3d import (Conv3dParams, conv3d_backward, conv3d_forward,
                              conv3d_ref, conv3d_transpose_backward,
@@ -181,3 +183,131 @@ class TestFastPathAgreesWithRef:
 def test_conv_out_shape_rejects_empty():
     with pytest.raises(ShapeError, match="empty"):
         conv_out_shape(2, 5, 1, 0, "H")
+
+
+# --- properties of the fast route over random geometry --------------------
+
+@st.composite
+def geometries(draw):
+    """Per axis (kernel, stride, pad, output_padding, odd input size), plus
+    (N, C_in, C_out). A pad of K reaches the gather route's crop."""
+    unit_stride = draw(st.booleans())  # the gather route runs only at stride 1
+    axes = []
+    for _ in range(3):
+        k = draw(st.sampled_from([1, 3, 5]))
+        s = 1 if unit_stride else draw(st.integers(1, 3))
+        axes.append((k, s, draw(st.integers(0, k)), draw(st.integers(0, s - 1)),
+                     draw(st.sampled_from([1, 3, 5, 7]))))
+    n, c_in, c_out = draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return tuple(zip(*axes)), (n, c_in, c_out)
+
+
+def _conv_case(geom, seed):
+    """A forward conv with random weight and bias and a valid input for it;
+    the loop oracle's work is bounded to keep examples fast."""
+    (kernel, stride, pad, _, size), (n, c_in, c_out) = geom
+    assume(all(sz + 2 * p >= k for sz, p, k in zip(size, pad, kernel)))
+    out = [conv_out_shape(sz, k, s, p) for sz, k, s, p in zip(size, kernel, stride, pad)]
+    assume(n * c_out * np.prod(out) * np.prod(kernel) <= 20_000)
+    rng = np.random.default_rng(seed)
+    p = rand_conv(rng, c_in, c_out, kernel, stride, pad)
+    return p, rng.standard_normal((n, c_in, *size)), rng
+
+
+def _transpose_case(geom, seed):
+    """A transposed conv with random weight and bias and a valid input for it."""
+    (kernel, stride, pad, op, size), (n, c_in, c_out) = geom
+    out = [conv_transpose_out_shape(*a) for a in zip(size, kernel, stride, pad, op)]
+    assume(min(out) >= 1)
+    assume(n * c_in * np.prod(size) * np.prod(kernel) <= 20_000)
+    rng = np.random.default_rng(seed)
+    p = rand_conv(rng, c_in, c_out, kernel, stride, pad, transposed=True, output_padding=op)
+    return p, rng.standard_normal((n, c_in, *size)), rng
+
+
+_ALL = (slice(None), slice(None))
+
+
+def _tap_pairs(short_shape, long_shape, kernel, stride, padding):
+    """Per tap j: index tuples (of w at j, short, long) over (T, H, W) for
+    the pairs (q, q*s - p + j) of the definition sum with both ends in range."""
+    for j in np.ndindex(*kernel):
+        axes = []
+        for q_n, l_n, s, p, jj in zip(short_shape, long_shape, stride, padding, j):
+            q = np.arange(q_n)
+            q = q[(q * s - p + jj >= 0) & (q * s - p + jj < l_n)]
+            axes.append((q, q * s - p + jj))
+        short, long_ = zip(*axes)
+        yield _ALL + j, _ALL + np.ix_(*short), _ALL + np.ix_(*long_)
+
+
+def conv_grads_by_definition(x, w, gy, stride, padding):
+    """float64 gradients of y[n,o,q] = b[o] + sum_{i,j} w[o,i,j] x[n,i,q*s-p+j]."""
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for j, out, inp in _tap_pairs(gy.shape[2:], x.shape[2:], w.shape[2:], stride, padding):
+        gw[j] = np.einsum("nothw,nithw->oi", gy[out], x[inp])
+        gx[inp] += np.einsum("oi,nothw->nithw", w[j], gy[out])
+    return gx, gw, gy.sum(axis=(0, 2, 3, 4))
+
+
+def transpose_grads_by_definition(x, w, gy, stride, padding):
+    """float64 gradients of y[n,b,q*s-p+j] += sum_a w[a,b,j] x[n,a,q] (+ bias)."""
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for j, inp, out in _tap_pairs(x.shape[2:], gy.shape[2:], w.shape[2:], stride, padding):
+        gw[j] = np.einsum("nathw,nbthw->ab", x[inp], gy[out])
+        gx[inp] += np.einsum("ab,nbthw->nathw", w[j], gy[out])
+    return gx, gw, gy.sum(axis=(0, 2, 3, 4))
+
+
+class TestFastRouteProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(geom=geometries(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_forward_matches_ref(self, geom, seed):
+        p, x, _ = _conv_case(geom, seed)
+        np.testing.assert_allclose(conv3d_forward(x, p)[0], conv3d_ref(x, p),
+                                   rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(geom=geometries(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_transpose_forward_matches_ref(self, geom, seed):
+        p, x, _ = _transpose_case(geom, seed)
+        np.testing.assert_allclose(conv3d_transpose_forward(x, p)[0],
+                                   conv3d_transpose_ref(x, p), rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(geom=geometries(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_fast_paths_are_adjoint(self, geom, seed):
+        """<conv(x), y> == <x, conv_transpose(y)> with one weight, zero bias."""
+        p, x, rng = _conv_case(geom, seed)
+        op = tuple((sz + 2 * pd - k) % s for sz, pd, k, s in
+                   zip(x.shape[2:], p.padding, p.kernel, p.stride))
+        adj = Conv3dParams(p.weight, np.zeros(p.in_channels), stride=p.stride,
+                           padding=p.padding, transposed=True, output_padding=op)
+        p.bias[:] = 0
+        cx = conv3d_forward(x, p)[0]
+        y = rng.standard_normal(cx.shape)
+        cty = conv3d_transpose_forward(y, adj)[0]
+        assert cty.shape == x.shape
+        lhs, rhs = float(np.sum(cx * y)), float(np.sum(x * cty))
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(geom=geometries(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_backward_matches_definition(self, geom, seed):
+        p, x, rng = _conv_case(geom, seed)
+        y, ctx = conv3d_forward(x, p)
+        gy = rng.standard_normal(y.shape)
+        for fast, ref in zip(conv3d_backward(ctx, gy),
+                             conv_grads_by_definition(x, p.weight, gy, p.stride, p.padding)):
+            np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(geom=geometries(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_transpose_backward_matches_definition(self, geom, seed):
+        p, x, rng = _transpose_case(geom, seed)
+        y, ctx = conv3d_transpose_forward(x, p)
+        gy = rng.standard_normal(y.shape)
+        for fast, ref in zip(conv3d_transpose_backward(ctx, gy),
+                             transpose_grads_by_definition(x, p.weight, gy, p.stride,
+                                                           p.padding)):
+            np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=1e-10)

@@ -169,6 +169,16 @@ class TestReductionOracle:
         with pytest.raises(NumericError, match="non-finite"):
             ls3d_forward(x, main, offsets, masks)
 
+    @pytest.mark.parametrize("field", ["input", "masks"])
+    def test_nonfinite_input_and_masks_rejected(self, field):
+        x = np.zeros((1, 1, 2, 4, 4), dtype=np.float64)
+        main = rand_main(np.random.default_rng(0), 1, 1)
+        offsets, masks = zero_off_unit_mask(x.shape, main.kernel, x.dtype)
+        bad = {"input": x, "masks": masks}[field]
+        bad.flat[13] = np.inf
+        with pytest.raises(NumericError, match=f"non-finite {field} at flat index 13"):
+            ls3d_forward(x, main, offsets, masks)
+
     def test_field_shape_mismatch_rejected(self):
         x = np.zeros((1, 1, 2, 4, 4), dtype=np.float64)
         main = rand_main(np.random.default_rng(0), 1, 1)

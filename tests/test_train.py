@@ -5,6 +5,7 @@ import pytest
 
 from ls3dconv import train
 from ls3dconv.errors import CheckpointError, NumericError, ShapeError
+from ls3dconv.fileio import load_named_tensors, save_named_tensors
 from ls3dconv.net import NetworkSpec, build_net
 from ls3dconv.train import (AdamState, TrainConfig, adam_step, clip_grad_norm,
                             load_checkpoint, save_checkpoint, train_loop,
@@ -163,6 +164,19 @@ class TestCheckpoint:
         assert state.step == result.adam_state.step
         x = np.random.default_rng(0).standard_normal((1, 3, 2, 16, 16)).astype(np.float32)
         np.testing.assert_array_equal(net.forward(x), net2.forward(x))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        """A write that fails part-way leaves the old checkpoint loadable and
+        no temporary file behind."""
+        path = tmp_path / "ck.ls3d"
+        save_named_tensors(path, {"a": np.arange(3, dtype=np.float32)})
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match="int64"):
+            save_named_tensors(path, {"a": np.ones(4, dtype=np.float32),
+                                      "b": np.arange(2, dtype=np.int64)})
+        assert path.read_bytes() == before
+        np.testing.assert_array_equal(load_named_tensors(path)["a"], np.arange(3))
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.ls3d"]
 
     def test_truncated_file_rejected_cleanly(self, tmp_path):
         net = small_net(seed=4)
