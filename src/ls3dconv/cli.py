@@ -39,15 +39,6 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 
-def _bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got '{s}'")
-
-
 # key -> (parser, default). Defaults are the desk-scale experiment setup.
 SCHEMA: dict = {
     "net.channels": (int, 32),
@@ -56,14 +47,9 @@ SCHEMA: dict = {
     "net.temporal_deconv_after": (str, "auto"),
     "net.task": (str, "interpolate"),
     "net.branch_kernel": (int, 3),
-    "net.encoder_relu": (_bool, True),
-    "net.deconv_relu": (_bool, True),
     "train.epochs": (int, 10),
     "train.batch_size": (int, 2),
     "train.learning_rate": (float, 1e-3),
-    "train.beta1": (float, 0.9),
-    "train.beta2": (float, 0.999),
-    "train.eps": (float, 1e-8),
     "train.seed": (int, 0),
     "train.eval_every": (int, 5),
     "train.clips": (int, 16),
@@ -168,8 +154,6 @@ def network_spec(cfg: dict, ls3d_blocks: str | None = None) -> NetworkSpec:
         temporal_deconv_after=td,
         task=cfg["net.task"],
         branch_kernel=cfg["net.branch_kernel"],
-        encoder_relu=cfg["net.encoder_relu"],
-        deconv_relu=cfg["net.deconv_relu"],
     )
 
 
@@ -178,9 +162,6 @@ def train_config(cfg: dict) -> TrainConfig:
         epochs=cfg["train.epochs"],
         batch_size=cfg["train.batch_size"],
         learning_rate=cfg["train.learning_rate"],
-        beta1=cfg["train.beta1"],
-        beta2=cfg["train.beta2"],
-        eps=cfg["train.eps"],
         seed=cfg["train.seed"],
         task=cfg["net.task"],
         clips=cfg["train.clips"],

@@ -34,10 +34,11 @@ Forward and backward are written by hand; `ls3d_backward` is exact
 reverse-mode differentiation of the sum above. grad_w and the column
 gradient are one GEMM each. The mask gradient (product rule) and the
 offset gradient (bilinear kernel derivative, on the corners gathered
-again) are reductions over C. grad_x scatters the column gradient
-through the bilinear weights into the channels-last frames with one
-`bincount` per tap: a single bincount over all taps would hold K times
-the flat index and weight arrays at once.
+again) are reductions over C. grad_x is the adjoint of the sampling: the
+column gradient scattered through the bilinear weights onto the same
+corner rows the forward gathered, one `bincount` per input channel over
+all four corners of every tap. The zero row collects the out-of-frame
+corners and is dropped.
 """
 
 from __future__ import annotations
@@ -246,22 +247,17 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
                              (1 - dr) * (s01 - s00) + dr * (s11 - s10)], axis=1)
     grad_offsets = _channels_first(grad_offsets.reshape(-1, 2 * taps), grid)
 
-    # Input gradient: scatter g_samp through the four bilinear weights into
-    # the channels-last frames, one tap at a time to bound the index arrays.
-    # bincount over a fully flattened index is much faster than ufunc.at.
-    row_starts = np.ascontiguousarray(idx.reshape(4, -1, taps).transpose(2, 0, 1)) * c_in
-    wts = np.ascontiguousarray(weights.reshape(4, -1, taps).transpose(2, 0, 1))[..., None]
-    chan = np.arange(c_in)
-    flat = np.empty(row_starts.shape[1:] + (c_in,), dtype=np.int64)   # (4, N*T*P, C)
-    vals = np.empty(flat.shape)
-    acc = np.zeros(frames.size)
-    for k in range(taps):
-        np.add(row_starts[k, :, :, None], chan, out=flat)
-        np.multiply(wts[k], g_samp[:, k], out=vals)
-        acc += np.bincount(flat.ravel(), weights=vals.ravel(), minlength=acc.size)
+    # Input gradient: scatter g_samp through the four bilinear weights onto
+    # the frame rows. bincount is much faster than ufunc.at; each channel's
+    # gradient is made one contiguous row first, which is faster than a
+    # strided column of g_samp.
+    rows = idx.ravel()
+    g_chan = np.ascontiguousarray(g_samp.reshape(-1, c_in).T)       # (C, N*T*P*K)
+    grad_frames = np.stack([np.bincount(rows, weights=(weights * g_c).ravel(),
+                                        minlength=len(frames)) for g_c in g_chan])
     pt = params.kernel[0] // 2
-    grad_x = acc[:-c_in].reshape(n_, t_ + 2 * pt, h, w, c_in)[:, pt:pt + t_]
-    grad_x = np.ascontiguousarray(grad_x.transpose(0, 4, 1, 2, 3), dtype=x.dtype)
+    grad_x = grad_frames[:, :-1].reshape(c_in, n_, t_ + 2 * pt, h, w)[:, :, pt:pt + t_]
+    grad_x = np.ascontiguousarray(grad_x.transpose(1, 0, 2, 3, 4), dtype=x.dtype)
 
     return grad_x, grad_w, grad_bias, grad_offsets, grad_masks
 
@@ -279,7 +275,7 @@ class Ls3dConv:
 
     def __init__(self, main: Conv3dParams, offset_branch: Conv3dParams,
                  mask_branch: Conv3dParams, name: str = "ls3d",
-                 offset_shift: float | tuple[float, float] = 0.0):
+                 offset_shift: float = 0.0):
         taps = num_taps(main.kernel)
         if offset_branch.out_channels != 2 * taps:
             raise ShapeError(f"offset branch must emit {2 * taps} channels, "
@@ -312,14 +308,8 @@ class Ls3dConv:
 
     def _predict(self, x: np.ndarray):
         raw_off, off_ctx = conv3d_forward(x, self.offset_branch)
-        shift = self.offset_shift
-        if isinstance(shift, tuple):
-            # (row, col) shift applied to every tap; gradient is unaffected.
-            taps = num_taps(self.main.kernel)
-            vec = np.tile(np.asarray(shift, dtype=x.dtype), taps)
-            raw_off = raw_off + vec[None, :, None, None, None]
-        elif shift:
-            raw_off = raw_off + x.dtype.type(shift)
+        if self.offset_shift:
+            raw_off = raw_off + x.dtype.type(self.offset_shift)
         logits, mask_ctx = conv3d_forward(x, self.mask_branch)
         return raw_off, sigmoid(logits), off_ctx, mask_ctx
 

@@ -101,7 +101,6 @@ class EvalReport:
     clip_id: int
     psnr_per_frame: list[float]
     ssim_per_frame: list[float]
-    l1: float
 
     @property
     def psnr_mean(self) -> float:
@@ -113,8 +112,7 @@ class EvalReport:
 
 
 def evaluate_pair(clip_id: int, pred: np.ndarray, target: np.ndarray) -> EvalReport:
-    l1, _ = l1_loss(pred.astype(np.float64), target.astype(np.float64))
-    return EvalReport(clip_id, psnr_frames(pred, target), ssim_frames(pred, target), l1)
+    return EvalReport(clip_id, psnr_frames(pred, target), ssim_frames(pred, target))
 
 
 def write_eval_csv(path, reports: list[EvalReport]) -> None:

@@ -119,8 +119,6 @@ class NetworkSpec:
     temporal_deconv_after: frozenset[int] = frozenset({2, 4})
     task: str = "interpolate"
     branch_kernel: int = 3
-    encoder_relu: bool = True
-    deconv_relu: bool = True
     dtype: type = np.float32
 
     def __post_init__(self):
@@ -160,11 +158,9 @@ def _conv(rng, c_in, c_out, kernel, stride, pad, dtype, transposed=False,
 
 
 def make_ls3d_layer(rng, channels: int, name: str, branch_kernel: int = 3,
-                    dtype=np.float32, random_branches: bool = False,
-                    c_out: int | None = None) -> Ls3dConv:
+                    dtype=np.float32, random_branches: bool = False) -> Ls3dConv:
     """One sampling conv with zero-initialized (or small random) branches."""
-    c_out = channels if c_out is None else c_out
-    main = _conv(rng, channels, c_out, (3, 3, 3), (1, 1, 1), (1, 1, 1), dtype)
+    main = _conv(rng, channels, channels, (3, 3, 3), (1, 1, 1), (1, 1, 1), dtype)
     bk = (branch_kernel,) * 3
     bp = (branch_kernel // 2,) * 3
     taps = num_taps((3, 3, 3))
@@ -237,8 +233,6 @@ class VINet:
                 first = layer.first
                 add(first.main if isinstance(first, Ls3dConv) else first.params)
                 add(layer.second.params)
-            elif isinstance(layer, Ls3dConv):
-                add(layer.main)
         return entries
 
 
@@ -251,11 +245,9 @@ def build_net(spec: NetworkSpec, seed: int) -> VINet:
 
     layers.append(Conv3dLayer(_conv(rng, IN_CHANNELS, c, (3, 3, 3), (1, 2, 2), (1, 1, 1), dt),
                               "enc1"))
-    if spec.encoder_relu:
-        layers.append(ReluLayer("enc1.relu"))
+    layers.append(ReluLayer("enc1.relu"))
     layers.append(Conv3dLayer(_conv(rng, c, c, (3, 3, 3), (1, 2, 2), (1, 1, 1), dt), "enc2"))
-    if spec.encoder_relu:
-        layers.append(ReluLayer("enc2.relu"))
+    layers.append(ReluLayer("enc2.relu"))
 
     n_tdeconv = 0
     for i in range(1, spec.num_resblocks + 1):
@@ -273,13 +265,11 @@ def build_net(spec: NetworkSpec, seed: int) -> VINet:
             layers.append(Conv3dLayer(
                 _conv(rng, c, c, (3, 3, 3), (2, 1, 1), (1, 1, 1), dt,
                       transposed=True), f"tdeconv{n_tdeconv}"))
-            if spec.deconv_relu:
-                layers.append(ReluLayer(f"tdeconv{n_tdeconv}.relu"))
+            layers.append(ReluLayer(f"tdeconv{n_tdeconv}.relu"))
 
     layers.append(Conv3dLayer(_conv(rng, c, c, (3, 3, 3), (1, 2, 2), (1, 1, 1), dt,
                                     transposed=True, output_padding=(0, 1, 1)), "dec1"))
-    if spec.deconv_relu:
-        layers.append(ReluLayer("dec1.relu"))
+    layers.append(ReluLayer("dec1.relu"))
     layers.append(Conv3dLayer(_conv(rng, c, IN_CHANNELS, (3, 3, 3), (1, 2, 2), (1, 1, 1), dt,
                                     transposed=True, output_padding=(0, 1, 1)), "dec2"))
     return VINet(spec, layers)

@@ -22,6 +22,9 @@ from .errors import ShapeError
 __all__ = ["ObjectSpec", "ClipSpec", "ClipPair", "gen_clip", "make_clip_pair",
            "add_gaussian_noise", "random_clip_spec"]
 
+# Spatial frequency of the background sinusoid, in cycles per pixel.
+BACKGROUND_FREQ = 0.08
+
 
 @dataclass(frozen=True)
 class ObjectSpec:
@@ -38,7 +41,6 @@ class ClipSpec:
     size: tuple[int, int]
     num_frames: int
     objects: tuple[ObjectSpec, ...]
-    background_freq: float = 0.08
     seed: int = 0
 
     def __post_init__(self):
@@ -103,7 +105,7 @@ def gen_clip(spec: ClipSpec) -> np.ndarray:
 
     rr = np.arange(h, dtype=np.float64)[:, None]
     cc = np.arange(w, dtype=np.float64)[None, :]
-    bg_arg = 2 * np.pi * spec.background_freq * (rr + 1.3 * cc)
+    bg_arg = 2 * np.pi * BACKGROUND_FREQ * (rr + 1.3 * cc)
     background = 0.5 + 0.3 * np.sin(bg_arg[None] + bg_phases[:, None, None])
 
     out = np.empty((1, 3, spec.num_frames, h, w), dtype=np.float32)

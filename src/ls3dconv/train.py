@@ -28,9 +28,6 @@ class TrainConfig:
     epochs: int = 10
     batch_size: int = 2
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     task: str = "interpolate"
     clips: int = 16
@@ -50,6 +47,12 @@ class TrainConfig:
             raise ShapeError("learning_rate must be >= 0")
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
@@ -67,7 +70,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """Standard bias-corrected Adam update, in place."""
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -85,7 +88,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        p -= (config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)).astype(p.dtype)
+        p -= (config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
 
 
 def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -51,7 +51,9 @@ class TestConfig:
             load_config(None, ["net.channels=many"])
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
-        for key in ("net.numblocks=4", "data.background_freq=0.5"):
+        for key in ("net.numblocks=4", "data.background_freq=0.5", "net.encoder_relu=false",
+                    "net.deconv_relu=false", "train.beta1=0.8", "train.beta2=0.99",
+                    "train.eps=1e-6"):
             code = main(["train", "--set", key, "--out", str(tmp_path)])
             assert code == EXIT_CONFIG
             assert key.split("=")[0] in capsys.readouterr().err

@@ -207,23 +207,31 @@ def definition_sum(x, main, offsets, masks):
     return y
 
 
+def draw_operator_inputs(seed, t_, hw):
+    """Fractional offsets differing per tap and position, some landing
+    exactly on integers and some fully outside the frame."""
+    rng = np.random.default_rng(seed)
+    h, w = hw
+    x = rng.standard_normal((2, 2, t_, h, w))
+    main = rand_main(rng, 2, 3)
+    taps = num_taps(main.kernel)
+    offsets = rng.uniform(-2.5, 2.5, (2, 2 * taps, t_, h, w))
+    kind = rng.integers(0, 4, offsets.shape)
+    offsets[kind == 1] = np.round(offsets[kind == 1])
+    offsets[kind == 2] = rng.choice([-1.0, 1.0], int(np.sum(kind == 2))) * (max(h, w) + 1.5)
+    masks = rng.uniform(0, 1, (2, taps, t_, h, w))
+    return rng, x, main, offsets, masks
+
+
+OPERATOR_INPUTS = dict(seed=st.integers(0, 2 ** 32 - 1), t_=st.sampled_from([1, 2, 5]),
+                       hw=st.sampled_from([(3, 5), (6, 4), (5, 7)]))
+
+
 class TestDefinitionSum:
     @settings(max_examples=12, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), t_=st.sampled_from([1, 2, 5]),
-           hw=st.sampled_from([(3, 5), (6, 4), (5, 7)]))
+    @given(**OPERATOR_INPUTS)
     def test_forward_matches_definition(self, seed, t_, hw):
-        """Fractional offsets differing per tap and position, some landing
-        exactly on integers and some fully outside the frame."""
-        rng = np.random.default_rng(seed)
-        h, w = hw
-        x = rng.standard_normal((2, 2, t_, h, w))
-        main = rand_main(rng, 2, 3)
-        taps = num_taps(main.kernel)
-        offsets = rng.uniform(-2.5, 2.5, (2, 2 * taps, t_, h, w))
-        kind = rng.integers(0, 4, offsets.shape)
-        offsets[kind == 1] = np.round(offsets[kind == 1])
-        offsets[kind == 2] = rng.choice([-1.0, 1.0], int(np.sum(kind == 2))) * (max(h, w) + 1.5)
-        masks = rng.uniform(0, 1, (2, taps, t_, h, w))
+        _, x, main, offsets, masks = draw_operator_inputs(seed, t_, hw)
         inputs = (x, main.weight, main.bias, offsets, masks)
         before = [a.copy() for a in inputs]
 
@@ -234,6 +242,25 @@ class TestDefinitionSum:
             assert a.tobytes() == b.tobytes()
         y2, _ = ls3d_forward(x, main, offsets, masks)
         assert y2.tobytes() == y.tobytes()
+
+    @settings(max_examples=12, deadline=None)
+    @given(**OPERATOR_INPUTS)
+    def test_backward_is_adjoint_of_forward(self, seed, t_, hw):
+        """y - bias is linear in x, in the weight and in the masks, so its
+        pairing with any upstream g equals each input's pairing with its
+        gradient: <y - b, g> = <x, gx> = <w, gw> = <m, gm>. With a random g
+        and random inputs this ties every entry of every gradient to the
+        forward, out-of-frame corners and integer offsets included."""
+        rng, x, main, offsets, masks = draw_operator_inputs(seed, t_, hw)
+        y, ctx = ls3d_forward(x, main, offsets, masks)
+        g = rng.standard_normal(y.shape)
+        gx, gw, _, _, gm = ls3d_backward(ctx, g)
+        linear = (y - main.bias[None, :, None, None, None]) * g
+        # Relative to the sum of magnitudes, so cancellation in a pairing
+        # cannot make the tolerance vanish.
+        scale = np.abs(linear).sum()
+        for value, grad in ((x, gx), (main.weight, gw), (masks, gm)):
+            assert abs(np.vdot(value, grad) - linear.sum()) <= 1e-12 * scale
 
 
 class TestLs3dBackward:

@@ -114,7 +114,7 @@ class TestResidualIdentity:
 class TestAgainstHandAssembly:
     def test_matches_manual_conv_chain(self):
         """Baseline net == explicitly composed reference convs, exactly."""
-        spec = tiny_spec(temporal_deconv_after=frozenset({2}), encoder_relu=True)
+        spec = tiny_spec(temporal_deconv_after=frozenset({2}))
         net = build_net(spec, seed=3)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 3, 2, 8, 8))

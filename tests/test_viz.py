@@ -34,7 +34,7 @@ class TestSamplingMap:
         rng = np.random.default_rng(1)
         layer = make_ls3d_layer(rng, channels=1, name="l", dtype=np.float64)
         layer.main.weight[:] = 1.0  # symmetric magnitudes, exact centroid
-        layer.offset_shift = (0.0, 5.0)
+        layer.offset_branch.bias[1::2] = 5.0  # zero branch weights: column offsets of 5
         x = rng.standard_normal((1, 1, 3, 16, 16))
         center = sampling_map(layer, x, (1, 8, 8))
         for frame in range(3):
@@ -133,7 +133,7 @@ class TestReceptiveField:
         rng = np.random.default_rng(8)
         layer = make_ls3d_layer(rng, channels=1, name="l", dtype=np.float64)
         layer.main.weight[:] = 1.0
-        layer.offset_shift = (0.0, 6.0)
+        layer.offset_branch.bias[1::2] = 6.0
 
         class _OneLayerNet:
             def geometry(self):
