@@ -8,7 +8,7 @@ from .ls3d import (Ls3dConv, bilinear_backward, bilinear_sample, ls3d_backward,
                    ls3d_forward)
 from .metrics import EvalReport, l1_loss, psnr, ssim
 from .net import NetworkSpec, VINet, build_net
-from .synthdata import ClipPair, ClipSpec, ObjectSpec, add_gaussian_noise, gen_clip
+from .synthdata import ClipSpec, ObjectSpec, add_gaussian_noise, gen_clip
 from .train import TrainConfig, adam_step, load_checkpoint, save_checkpoint, train_loop
 from .viz import SamplingMap, emit_map_image, receptive_field, sampling_map
 
@@ -21,7 +21,7 @@ __all__ = [
     "Ls3dConv", "bilinear_sample", "bilinear_backward", "ls3d_forward", "ls3d_backward",
     "EvalReport", "psnr", "ssim", "l1_loss",
     "NetworkSpec", "VINet", "build_net",
-    "ClipSpec", "ClipPair", "ObjectSpec", "gen_clip", "add_gaussian_noise",
+    "ClipSpec", "ObjectSpec", "gen_clip", "add_gaussian_noise",
     "TrainConfig", "adam_step", "train_loop", "save_checkpoint", "load_checkpoint",
     "SamplingMap", "sampling_map", "emit_map_image", "receptive_field",
     "__version__",

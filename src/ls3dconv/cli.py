@@ -39,21 +39,27 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 
+def _count(raw: str) -> int:
+    """An int of at least 1: a count of zero would leave nothing to train,
+    score or time."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
+
+
 # key -> (parser, default). Defaults are the desk-scale experiment setup.
 SCHEMA: dict = {
     "net.channels": (int, 32),
-    "net.num_resblocks": (int, 6),
     "net.ls3d_blocks": (str, ""),            # "", "all", or "1,2,..."
-    "net.temporal_deconv_after": (str, "auto"),
     "net.task": (str, "interpolate"),
-    "net.branch_kernel": (int, 3),
-    "train.epochs": (int, 10),
-    "train.batch_size": (int, 2),
+    "train.epochs": (_count, 10),
+    "train.batch_size": (_count, 2),
     "train.learning_rate": (float, 1e-3),
     "train.seed": (int, 0),
     "train.eval_every": (int, 5),
-    "train.clips": (int, 16),
-    "train.eval_clips": (int, 8),
+    "train.clips": (_count, 16),
+    "train.eval_clips": (_count, 8),
     "train.grad_clip": (float, 10.0),
     "data.size": (int, 32),
     "data.num_frames": (int, 5),
@@ -65,8 +71,8 @@ SCHEMA: dict = {
     "viz.frame": (int, -1),                   # -1: middle output frame
     "viz.row": (int, -1),
     "viz.col": (int, -1),
-    "ablate.seeds": (int, 3),
-    "bench.repeats": (int, 3),
+    "ablate.seeds": (_count, 3),
+    "bench.repeats": (_count, 3),
 }
 
 # (name, LS3D block set). Two names may share a block set; ablate trains
@@ -121,40 +127,35 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
+def config_text(cfg: dict) -> str:
+    """The resolved configuration as sorted `key = value` lines."""
+    return "\n".join(f"{key} = {value}" for key, value in sorted(cfg.items()))
+
+
 def echo_config(cfg: dict) -> None:
     print("# resolved configuration")
-    for key in sorted(cfg):
-        print(f"{key} = {cfg[key]}")
+    print(config_text(cfg))
 
 
-def _parse_block_set(raw: str, num_blocks: int, what: str) -> frozenset[int]:
+def _parse_block_set(raw: str) -> frozenset[int]:
     raw = raw.strip().lower()
     if raw in ("", "none"):
         return frozenset()
     if raw == "all":
-        return frozenset(range(1, num_blocks + 1))
+        return frozenset(range(1, NetworkSpec.num_resblocks + 1))
     try:
         return frozenset(int(tok) for tok in raw.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad {what} '{raw}': {exc}") from exc
+        raise ConfigError(f"bad net.ls3d_blocks '{raw}': {exc}") from exc
 
 
 def network_spec(cfg: dict, ls3d_blocks: str | None = None) -> NetworkSpec:
-    n = cfg["net.num_resblocks"]
-    raw_td = cfg["net.temporal_deconv_after"]
-    if raw_td.strip().lower() == "auto":
-        td = frozenset() if cfg["net.task"] == "denoise" else frozenset({2, 4})
-    else:
-        td = _parse_block_set(raw_td, n, "net.temporal_deconv_after")
+    """The configured net; block count, deconv placement and branch kernel
+    are NetworkSpec's defaults."""
     blocks_raw = cfg["net.ls3d_blocks"] if ls3d_blocks is None else ls3d_blocks
-    return NetworkSpec(
-        channels=cfg["net.channels"],
-        num_resblocks=n,
-        ls3d_block_indices=_parse_block_set(blocks_raw, n, "net.ls3d_blocks"),
-        temporal_deconv_after=td,
-        task=cfg["net.task"],
-        branch_kernel=cfg["net.branch_kernel"],
-    )
+    return NetworkSpec(channels=cfg["net.channels"],
+                       ls3d_block_indices=_parse_block_set(blocks_raw),
+                       task=cfg["net.task"])
 
 
 def train_config(cfg: dict) -> TrainConfig:
@@ -197,8 +198,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
     net = build_net(spec, seed=tcfg.seed)
     ckpt = out / "checkpoint.ls3d"
     result = train_loop(net, tcfg, abort_checkpoint_path=ckpt)
-    echo = "\n".join(f"{k} = {cfg[k]}" for k in sorted(cfg))
-    save_checkpoint(ckpt, net, result.adam_state, config_echo=echo)
+    save_checkpoint(ckpt, net, result.adam_state, config_echo=config_text(cfg))
     _announce(ckpt)
     loss_csv = out / "loss.csv"
     write_loss_csv(loss_csv, result.loss_rows)

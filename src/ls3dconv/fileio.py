@@ -82,7 +82,10 @@ def load_named_tensors(path) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = bytes(take(name_len, "name")).decode("utf-8")
+        try:
+            name = bytes(take(name_len, "name")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8 ({exc})") from exc
         (ndim,) = struct.unpack("<B", take(1, "ndim"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
         (tag,) = struct.unpack("<B", take(1, "dtype tag"))

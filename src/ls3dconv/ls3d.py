@@ -19,13 +19,12 @@ The operator is one deformable column buffer and one GEMM, the
 "deformable im2col" of DCN (Dai et al. 2017) and DCNv2 (Zhu et al. 2019):
 
 * The input is laid out channels last, as the rows of a
-  (N*(T+2*pt)*H*W + 1, C) matrix: every frame zero-padded by
-  pt = K_t // 2 frames in T, then one zero row at the end.
+  (N*T*H*W + 1, C) matrix whose last row is zero.
 * One vector pass computes the four bilinear corner rows and weights of
-  every tap at every output point. A corner outside its frame points at
-  the zero row, so a plain row gather reads the zero padding and no
-  validity mask is needed. Taps that reach before the first or after the
-  last frame read the zero frames of the T padding.
+  every tap at every output point. A corner outside the input, whether
+  outside its frame or in a frame t+tau outside [0, T), points at the
+  zero row, so a plain row gather reads zero and no validity mask is
+  needed.
 * The corners are gathered one at a time and weighted into `sampled`,
   (N*T*H*W, K, C). Times the masks, it is the column buffer, and the
   output is one GEMM with the weight reshaped to (K*C_in, C_out).
@@ -37,7 +36,7 @@ offset gradient (bilinear kernel derivative, on the corners gathered
 again) are reductions over C. grad_x is the adjoint of the sampling: the
 column gradient scattered through the bilinear weights onto the same
 corner rows the forward gathered, one `bincount` per input channel over
-all four corners of every tap. The zero row collects the out-of-frame
+all four corners of every tap. The zero row collects the out-of-range
 corners and is dropped.
 """
 
@@ -118,20 +117,17 @@ def _corners(x: np.ndarray, kernel, offsets: np.ndarray):
     """Channels-last frames and the 4 bilinear corners of every tap.
 
     Returns (frames, idx, weights, frac):
-      frames  (N*(T+2*pt)*H*W + 1, C): x channels last, zero-padded by
-              pt = K_t // 2 frames in T, plus one zero row at the end;
+      frames  (N*T*H*W + 1, C): x channels last, plus one zero row at the end;
       idx     (4, N*T*H*W*K) frame rows of the corners 00, 01, 10, 11; a
-              corner outside the frame points at the zero row;
+              corner outside the input points at the zero row;
       weights (4, N*T*H*W*K) the matching bilinear weights;
       frac    (dr, dc), the fractional parts of the sampling point.
     Entries run over (n, t, h, w, tap), tap fastest.
     """
     n_, c_in, t_, h, w = x.shape
-    pt = kernel[0] // 2
-    tt = t_ + 2 * pt
-    zero_row = n_ * tt * h * w
+    zero_row = n_ * t_ * h * w
     frames = np.zeros((zero_row + 1, c_in), dtype=x.dtype)
-    frames[:-1].reshape(n_, tt, h, w, c_in)[:, pt:pt + t_] = x.transpose(0, 2, 3, 4, 1)
+    frames[:-1].reshape(n_, t_, h, w, c_in)[...] = x.transpose(0, 2, 3, 4, 1)
 
     tau, pr, pc = np.array([tap[1:] for tap in tap_offsets(kernel)]).T
     off = offsets.reshape(n_, len(tau), 2, t_, h, w).transpose(2, 0, 3, 4, 5, 1)
@@ -143,11 +139,13 @@ def _corners(x: np.ndarray, kernel, offsets: np.ndarray):
     dc = (cols - c0).ravel()
     r0 = r0.astype(np.int64)
     c0 = c0.astype(np.int64)
-    frame = (np.arange(n_)[:, None] * tt + np.arange(pt, pt + t_))[:, :, None, None, None] + tau
+    t_src = np.arange(t_)[:, None, None, None] + tau                 # (T, 1, 1, K)
+    in_time = (t_src >= 0) & (t_src < t_)
+    frame = np.arange(n_)[:, None, None, None, None] * t_ + t_src
 
     idx = np.empty((4, dr.size), dtype=np.int64)
     for j, (r, c) in enumerate(((r0, c0), (r0, c0 + 1), (r0 + 1, c0), (r0 + 1, c0 + 1))):
-        inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+        inside = in_time & (r >= 0) & (r < h) & (c >= 0) & (c < w)
         idx[j] = np.where(inside, (frame * h + r) * w + c, zero_row).ravel()
     weights = np.stack([(1 - dr) * (1 - dc), (1 - dr) * dc, dr * (1 - dc), dr * dc])
     return frames, idx, weights, (dr, dc)
@@ -255,9 +253,8 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
     g_chan = np.ascontiguousarray(g_samp.reshape(-1, c_in).T)       # (C, N*T*P*K)
     grad_frames = np.stack([np.bincount(rows, weights=(weights * g_c).ravel(),
                                         minlength=len(frames)) for g_c in g_chan])
-    pt = params.kernel[0] // 2
-    grad_x = grad_frames[:, :-1].reshape(c_in, n_, t_ + 2 * pt, h, w)[:, :, pt:pt + t_]
-    grad_x = np.ascontiguousarray(grad_x.transpose(1, 0, 2, 3, 4), dtype=x.dtype)
+    grad_x = grad_frames[:, :-1].reshape(c_in, n_, t_, h, w).transpose(1, 0, 2, 3, 4)
+    grad_x = np.ascontiguousarray(grad_x, dtype=x.dtype)
 
     return grad_x, grad_w, grad_bias, grad_offsets, grad_masks
 

@@ -116,16 +116,19 @@ class NetworkSpec:
     channels: int = 32
     num_resblocks: int = 6
     ls3d_block_indices: frozenset[int] = frozenset()
-    temporal_deconv_after: frozenset[int] = frozenset({2, 4})
+    temporal_deconv_after: frozenset[int] | None = None  # None: decided by the task
     task: str = "interpolate"
     branch_kernel: int = 3
     dtype: type = np.float32
 
     def __post_init__(self):
-        self.ls3d_block_indices = frozenset(self.ls3d_block_indices)
-        self.temporal_deconv_after = frozenset(self.temporal_deconv_after)
         if self.task not in ("interpolate", "denoise"):
             raise ConfigError(f"task must be 'interpolate' or 'denoise', got '{self.task}'")
+        if self.temporal_deconv_after is None:
+            # Interpolation grows T 2 -> 3 -> 5; denoising keeps T.
+            self.temporal_deconv_after = {2, 4} if self.task == "interpolate" else ()
+        self.ls3d_block_indices = frozenset(self.ls3d_block_indices)
+        self.temporal_deconv_after = frozenset(self.temporal_deconv_after)
         if self.channels < 1 or self.num_resblocks < 1:
             raise ConfigError("channels and num_resblocks must be positive")
         blocks = set(range(1, self.num_resblocks + 1))

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["ObjectSpec", "ClipSpec", "ClipPair", "gen_clip", "make_clip_pair",
-           "add_gaussian_noise", "random_clip_spec"]
+__all__ = ["ObjectSpec", "ClipSpec", "gen_clip", "add_gaussian_noise", "random_clip_spec"]
 
 # Spatial frequency of the background sinusoid, in cycles per pixel.
 BACKGROUND_FREQ = 0.08
@@ -54,13 +53,6 @@ class ClipSpec:
             if not np.isfinite(speed) or speed > bound + 1e-9:
                 raise ShapeError(f"object velocity {obj.velocity} exceeds bound "
                                  f"H/num_frames = {bound:.3g}")
-
-
-@dataclass(frozen=True)
-class ClipPair:
-    """Two input frames (times 0 and 4) and three in-between targets."""
-    inputs: np.ndarray    # (1, 3, 2, H, W)
-    targets: np.ndarray   # (1, 3, 3, H, W)
 
 
 _CH_PHASE = np.array([0.0, 2.094395102393195, 4.18879020478639])  # 2*pi/3 apart
@@ -121,16 +113,6 @@ def gen_clip(spec: ClipSpec) -> np.ndarray:
             frame = frame * (1 - alpha) + tex * alpha
         out[0, :, t] = np.clip(frame, 0.0, 1.0)
     return out
-
-
-def make_clip_pair(spec: ClipSpec) -> ClipPair:
-    """Times 0 and 4 as inputs, 1..3 as targets (bit-identical slices)."""
-    if spec.num_frames != 5:
-        raise ShapeError(f"clip pairs need num_frames=5, got {spec.num_frames}")
-    frames = gen_clip(spec)
-    inputs = np.ascontiguousarray(frames[:, :, [0, 4]])
-    targets = np.ascontiguousarray(frames[:, :, 1:4])
-    return ClipPair(inputs, targets)
 
 
 def add_gaussian_noise(frames: np.ndarray, sigma_8bit: float, seed: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import CheckpointError, NumericError, ShapeError
 from .fileio import load_named_tensors, save_named_tensors
 from .metrics import EvalReport, evaluate_pair, l1_loss
 from .net import VINet
-from .synthdata import add_gaussian_noise, gen_clip, make_clip_pair, random_clip_spec
+from .synthdata import add_gaussian_noise, gen_clip, random_clip_spec
 
 
 @dataclass
@@ -107,18 +107,15 @@ def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 @dataclass
 class Sample:
     inputs: np.ndarray
-    targets: np.ndarray          # loss target (full supervision)
-    eval_targets: np.ndarray     # metric target (task-specific frames)
-    eval_slice: slice            # which output frames the metrics look at
+    targets: np.ndarray          # loss target, every output frame
+    eval_slice: slice            # the target frames the metrics score
 
 
 def _interp_sample(seed: int, cfg: TrainConfig) -> Sample:
     spec = random_clip_spec(seed, size=cfg.size, motion=cfg.motion,
                             num_objects=cfg.num_objects, num_frames=5)
-    pair = make_clip_pair(spec)
-    full = np.concatenate([pair.inputs[:, :, :1], pair.targets, pair.inputs[:, :, 1:]],
-                          axis=2)  # frames 0..4 in order
-    return Sample(pair.inputs, full, pair.targets, slice(1, 4))
+    clip = gen_clip(spec)
+    return Sample(clip[:, :, [0, 4]], clip, slice(1, 4))
 
 
 def _denoise_sample(seed: int, cfg: TrainConfig) -> Sample:
@@ -126,7 +123,7 @@ def _denoise_sample(seed: int, cfg: TrainConfig) -> Sample:
                             num_objects=cfg.num_objects, num_frames=cfg.num_frames)
     clean = gen_clip(spec)
     noisy = add_gaussian_noise(clean, cfg.noise_sigma, seed=seed + 1)
-    return Sample(noisy, clean, clean, slice(None))
+    return Sample(noisy, clean, slice(None))
 
 
 def make_dataset(cfg: TrainConfig, count: int, seed_base: int) -> list[Sample]:
@@ -148,8 +145,8 @@ def heldout_set(cfg: TrainConfig) -> list[Sample]:
 def evaluate(net: VINet, samples: list[Sample]) -> list[EvalReport]:
     reports = []
     for i, s in enumerate(samples):
-        pred = net.forward(s.inputs)
-        reports.append(evaluate_pair(i, pred[:, :, s.eval_slice], s.eval_targets))
+        pred = net.forward(s.inputs)[:, :, s.eval_slice]
+        reports.append(evaluate_pair(i, pred, s.targets[:, :, s.eval_slice]))
     return reports
 
 
@@ -246,6 +243,10 @@ def load_checkpoint(path, net: VINet) -> tuple[AdamState | None, str]:
     params = net.parameters()
     # Validate everything before touching the net: a failed load must not
     # leave a partially restored parameter set behind.
+    try:
+        echo = tensors.get("config", np.zeros(0, dtype=np.uint8)).tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: config echo is not UTF-8 ({exc})") from exc
     for name, p in params.items():
         key = f"param/{name}"
         if key not in tensors:
@@ -263,5 +264,4 @@ def load_checkpoint(path, net: VINet) -> tuple[AdamState | None, str]:
             v={n: tensors[f"adam.v/{n}"].astype(p.dtype)
                for n, p in params.items() if f"adam.v/{n}" in tensors},
             step=int(tensors["step"][0]))
-    echo = tensors.get("config", np.zeros(0, dtype=np.uint8)).tobytes().decode("utf-8")
     return state, echo

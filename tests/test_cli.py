@@ -27,7 +27,8 @@ TINY = [
 class TestConfig:
     def test_defaults_resolve(self):
         cfg = load_config(None, [])
-        assert cfg["net.num_resblocks"] == 6
+        spec = cli.network_spec(cfg)
+        assert spec.num_resblocks == 6 and spec.temporal_deconv_after == {2, 4}
         assert cfg["train.learning_rate"] == pytest.approx(1e-3)
 
     def test_unknown_key_named_in_error(self):
@@ -53,7 +54,8 @@ class TestConfig:
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         for key in ("net.numblocks=4", "data.background_freq=0.5", "net.encoder_relu=false",
                     "net.deconv_relu=false", "train.beta1=0.8", "train.beta2=0.99",
-                    "train.eps=1e-6"):
+                    "train.eps=1e-6", "net.temporal_deconv_after=auto",
+                    "net.num_resblocks=6", "net.branch_kernel=3"):
             code = main(["train", "--set", key, "--out", str(tmp_path)])
             assert code == EXIT_CONFIG
             assert key.split("=")[0] in capsys.readouterr().err
@@ -66,6 +68,34 @@ class TestConfig:
         assert "data.num_frames" in capsys.readouterr().err
         cfg = load_config(None, ["net.task=denoise", "data.num_frames=9"])
         assert cfg["data.num_frames"] == 9
+
+
+    @pytest.mark.parametrize("command, key", [
+        ("train", "train.epochs"), ("train", "train.batch_size"), ("train", "train.clips"),
+        ("train", "train.eval_clips"), ("ablate", "ablate.seeds"), ("bench", "bench.repeats"),
+    ])
+    def test_zero_count_rejected_before_any_work(self, tmp_path, capsys, command, key):
+        out = tmp_path / "out"
+        code = main([command, *TINY, "--set", f"{key}=0", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_key_is_read(self, tmp_path):
+        """No key is accepted but never used: some command reads each one."""
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        overrides = [arg for arg in TINY if arg != "--set"]
+        cfg = Recording(load_config(None, [*overrides, "ablate.seeds=1", "bench.repeats=1"]))
+        for cmd in (cli.cmd_train, cli.cmd_eval, cli.cmd_viz, cli.cmd_bench):
+            assert cmd(cfg, tmp_path) == EXIT_OK
+        assert cli.cmd_ablate(cfg, tmp_path, threads=1) == EXIT_OK
+        assert set(cli.SCHEMA) - read == set()
 
 
 class TestTrainCommand:
@@ -121,6 +151,17 @@ class TestEvalCommand:
                      "--set", f"eval.checkpoint={trained / 'checkpoint.ls3d'}"])
         assert code == EXIT_OK
         assert (trained / "eval.csv").read_bytes() == (evaluated / "eval.csv").read_bytes()
+
+    @pytest.mark.parametrize("needle", [b"param/enc1.weight", b"net.channels = 4"],
+                             ids=["tensor_name", "config_echo"])
+    def test_non_utf8_byte_is_checkpoint_error(self, tmp_path, capsys, needle):
+        assert main(["train", *TINY, "--out", str(tmp_path)]) == EXIT_OK
+        ckpt = tmp_path / "checkpoint.ls3d"
+        data = bytearray(ckpt.read_bytes())
+        data[data.index(needle)] = 0xFF
+        ckpt.write_bytes(bytes(data))
+        assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_IO
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         code = main(["eval", *TINY, "--out", str(tmp_path),

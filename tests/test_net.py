@@ -31,6 +31,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="denoise"):
             NetworkSpec(task="denoise", temporal_deconv_after=frozenset({2}))
 
+    def test_denoise_default_has_no_deconvs(self):
+        spec = NetworkSpec(channels=4, task="denoise")
+        assert spec.temporal_deconv_after == frozenset()
+        net = build_net(spec, seed=0)
+        assert not any(layer.name.startswith("tdeconv") for layer in net.layers)
+
     def test_unknown_task(self):
         with pytest.raises(ConfigError, match="task"):
             NetworkSpec(task="superres")

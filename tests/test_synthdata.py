@@ -8,7 +8,8 @@ import pytest
 from ls3dconv.errors import ShapeError
 from ls3dconv.metrics import psnr
 from ls3dconv.synthdata import (ClipSpec, ObjectSpec, add_gaussian_noise, gen_clip,
-                                make_clip_pair, random_clip_spec)
+                                random_clip_spec)
+from ls3dconv.train import TrainConfig, make_dataset
 
 
 def single_rect_spec(start=(10.0, 10.0), velocity=(2.0, 0.0), num_frames=5):
@@ -63,18 +64,18 @@ class TestGenClip:
             ClipSpec(size=(2, 32), num_frames=5, objects=())
 
 
-class TestClipPair:
-    def test_targets_are_bit_identical_slices(self):
-        spec = random_clip_spec(7)
-        pair = make_clip_pair(spec)
-        frames = gen_clip(spec)
-        np.testing.assert_array_equal(pair.inputs[:, :, 0], frames[:, :, 0])
-        np.testing.assert_array_equal(pair.inputs[:, :, 1], frames[:, :, 4])
-        np.testing.assert_array_equal(pair.targets, frames[:, :, 1:4])
-
-    def test_needs_five_frames(self):
-        with pytest.raises(ShapeError, match="num_frames=5"):
-            make_clip_pair(single_rect_spec(num_frames=4))
+class TestInterpolationSample:
+    def test_inputs_are_end_frames_of_targets(self):
+        """The targets are the whole 5-frame clip; the inputs are its frames
+        0 and 4, bit for bit; the metrics score frames 1..3."""
+        cfg = TrainConfig(task="interpolate", size=16, motion=2.0)
+        samples = make_dataset(cfg, 3, seed_base=7)
+        np.testing.assert_array_equal(samples[0].targets,
+                                      gen_clip(random_clip_spec(7, size=16, motion=2.0)))
+        for s in samples:
+            assert s.targets.shape == (1, 3, 5, 16, 16)
+            np.testing.assert_array_equal(s.inputs, s.targets[:, :, [0, 4]])
+            assert s.eval_slice == slice(1, 4)
 
 
 class TestGaussianNoise:
