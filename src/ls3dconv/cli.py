@@ -15,6 +15,7 @@ import argparse
 import csv
 import multiprocessing
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -124,6 +125,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     if cfg["net.task"] == "interpolate" and cfg["data.num_frames"] != 5:
         raise ConfigError(f"data.num_frames = {cfg['data.num_frames']} has no effect on "
                           "net.task = interpolate, which always uses 5-frame clips")
+    if cfg["net.task"] == "denoise" and cfg["data.noise_sigma"] <= 0:
+        raise ConfigError("net.task = denoise needs data.noise_sigma > 0: on clean clips "
+                          "the identity is the best denoiser")
     return cfg
 
 
@@ -324,15 +328,21 @@ def cmd_ablate(cfg: dict, out: Path, threads: int) -> int:
 def cmd_viz(cfg: dict, out: Path) -> int:
     spec = network_spec(cfg)
     tcfg = train_config(cfg)
+    # Both nets emit num_frames frames (5 for interpolation) at data.size.
+    grid = (tcfg.num_frames, tcfg.size, tcfg.size)
+    coord = []
+    for key, size in zip(("viz.frame", "viz.row", "viz.col"), grid):
+        value = size // 2 if cfg[key] == -1 else cfg[key]
+        if not 0 <= value < size:
+            raise ConfigError(f"{key} = {cfg[key]} is outside the output grid {grid} "
+                              "(-1: the middle)")
+        coord.append(value)
     net = build_net(spec, seed=tcfg.seed)
     if cfg["viz.checkpoint"]:
         load_checkpoint(cfg["viz.checkpoint"], net)
         print(f"loaded {cfg['viz.checkpoint']}")
     sample = make_dataset(tcfg, 1, seed_base=700_007)[0]
-    frame = cfg["viz.frame"] if cfg["viz.frame"] >= 0 else tcfg.num_frames // 2
-    row = cfg["viz.row"] if cfg["viz.row"] >= 0 else tcfg.size // 2
-    col = cfg["viz.col"] if cfg["viz.col"] >= 0 else tcfg.size // 2
-    smap = sampling_map(net, sample.inputs.astype(np.float64), (frame, row, col))
+    smap = sampling_map(net, sample.inputs.astype(np.float64), tuple(coord))
     if smap.all_zero:
         print("warning: sampling map is all zero (disconnected output)")
     for path in emit_map_image(smap, out):
@@ -365,13 +375,17 @@ def cmd_bench(cfg: dict, out: Path) -> int:
     macs = n * c * c * taps * t * size * size
 
     def timeit(fn):
+        """Best of `repeats` timed calls after a warm-up, and the minor page
+        faults per call over those calls."""
         fn()  # warm up
         best = float("inf")
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(repeats):
             start = time.perf_counter()
             fn()
             best = min(best, time.perf_counter() - start)
-        return best
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return best, faults / repeats
 
     _, conv_ctx = conv3d_forward(x, params)
     _, ls3d_ctx = ls3d_forward(x, params, offsets, masks)
@@ -381,18 +395,18 @@ def cmd_bench(cfg: dict, out: Path) -> int:
            ("ls3d_backward", lambda: ls3d_backward(ls3d_ctx, grad_y), 2 * macs)]
     rows = []
     for name, fn, op_macs in ops:
-        secs = timeit(fn)
-        rows.append((name, secs, 1.0 / secs, op_macs / secs))
+        secs, faults = timeit(fn)
+        rows.append((name, secs, 1.0 / secs, op_macs / secs, faults))
     print(f"shape ({n},{c},{t},{size},{size}), kernel 3x3x3, best of {repeats}")
-    for name, secs, calls, mps in rows:
+    for name, secs, calls, mps, faults in rows:
         print(f"{name:15s} {secs * 1e3:9.2f} ms/call  {calls:8.2f} calls/s  "
-              f"{mps / 1e6:9.1f} MMAC/s")
+              f"{mps / 1e6:9.1f} MMAC/s  {faults:8.1f} minor faults/call")
     path = out / "bench.csv"
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["op", "seconds_per_call", "calls_per_sec", "mac_per_sec"])
-        for name, secs, calls, mps in rows:
-            writer.writerow([name, repr(secs), repr(calls), repr(mps)])
+        writer.writerow(["op", "seconds_per_call", "calls_per_sec", "mac_per_sec",
+                         "minor_faults_per_call"])
+        writer.writerows([name, *map(repr, values)] for name, *values in rows)
     _announce(path)
     return EXIT_OK
 

@@ -25,19 +25,25 @@ The operator is one deformable column buffer and one GEMM, the
   outside its frame or in a frame t+tau outside [0, T), points at the
   zero row, so a plain row gather reads zero and no validity mask is
   needed.
-* The corners are gathered one at a time and weighted into `sampled`,
-  (N*T*H*W, K, C). Times the masks, it is the column buffer, and the
-  output is one GEMM with the weight reshaped to (K*C_in, C_out).
+* As in DCNv2, the mask is folded into the four bilinear weights, so the
+  column buffer (N*T*H*W*K, C) is sum_j (w_j * m) * corner_j, written
+  once. It is filled in blocks of `_BLOCK` rows: the first corner is
+  gathered straight into the block, the other three into one reused
+  block-sized buffer, so the corners stay in cache and no full-size
+  temporary is made. The output is one GEMM of the columns, viewed as
+  (N*T*H*W, K*C_in), with the weight reshaped to (K*C_in, C_out).
 
 Forward and backward are written by hand; `ls3d_backward` is exact
 reverse-mode differentiation of the sum above. grad_w and the column
-gradient are one GEMM each. The mask gradient (product rule) and the
-offset gradient (bilinear kernel derivative, on the corners gathered
-again) are reductions over C. grad_x is the adjoint of the sampling: the
-column gradient scattered through the bilinear weights onto the same
-corner rows the forward gathered, one `bincount` per input channel over
-all four corners of every tap. The zero row collects the out-of-range
-corners and is dropped.
+gradient g are one GEMM each, grad_w on the stored columns. The four
+corners are gathered again, block by block, and each is dotted with the
+unmasked g over C, giving s_00..s_11. Everything else is a function of
+those four numbers per tap: the mask gradient is sum_j w_j * s_j, and the
+offset gradient is m times the bilinear kernel's derivative of the s_j.
+grad_x is the adjoint of the sampling: g scattered through the
+mask-weighted bilinear weights onto the same corner rows the forward
+gathered, one `bincount` per input channel over all four corners of
+every tap. The zero row collects the out-of-range corners and is dropped.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ __all__ = [
     "ls3d_forward", "ls3d_backward",
     "num_taps", "tap_offsets", "Ls3dConv",
 ]
+
+# Rows of the column buffer built, or gathered again, per pass: with 32
+# float32 channels a block is 512 KiB, small enough to stay in cache.
+_BLOCK = 4096
 
 
 def num_taps(kernel) -> int:
@@ -157,6 +167,11 @@ def _gather(frames: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray
     return np.take(frames, rows, axis=0, out=out, mode="clip")
 
 
+def _blocks(rows: int):
+    """Slices of at most `_BLOCK` consecutive rows that cover range(rows)."""
+    return (slice(start, min(start + _BLOCK, rows)) for start in range(0, rows, _BLOCK))
+
+
 def _validate_fields(x, params: Conv3dParams, offsets, masks):
     check_tensor5(x, "ls3d input")
     if params.transposed:
@@ -190,20 +205,24 @@ def ls3d_forward(x: np.ndarray, params: Conv3dParams, offsets: np.ndarray,
     n_, c_in, t_, h, w = x.shape
     taps = num_taps(params.kernel)
     frames, idx, weights, frac = _corners(x, params.kernel, offsets)
+    wm = weights * _channels_last(masks).ravel()                     # (4, N*T*P*K)
 
-    sampled = np.zeros((idx.shape[1], c_in), dtype=x.dtype)
-    corner = np.empty_like(sampled)
-    for i, wt in zip(idx, weights):
-        _gather(frames, i, corner)
-        corner *= wt[:, None]
-        sampled += corner
-    sampled = sampled.reshape(-1, taps, c_in)                        # (N*T*P, K, C)
+    columns = np.empty((idx.shape[1], c_in), dtype=x.dtype)
+    corner = np.empty((min(_BLOCK, len(columns)), c_in), dtype=x.dtype)
+    for block in _blocks(len(columns)):
+        out = _gather(frames, idx[0, block], columns[block])
+        out *= wm[0, block, None]
+        buf = corner[:len(out)]
+        for i, wt in zip(idx[1:, block], wm[1:, block]):
+            _gather(frames, i, buf)
+            buf *= wt[:, None]
+            out += buf
+    columns = columns.reshape(-1, taps * c_in)                       # (N*T*P, K*C)
 
-    columns = (sampled * _channels_last(masks)[:, :, None]).reshape(-1, taps * c_in)
     y = _channels_first(columns @ _gemm_weight(params.weight), (n_, t_, h, w))
     y = y.astype(x.dtype, copy=False)
     y += params.bias[None, :, None, None, None].astype(x.dtype)
-    ctx = (x, params, offsets, masks, (frames, idx, weights, frac, sampled))
+    ctx = (x, params, offsets, masks, (frames, idx, weights, frac, columns))
     return y, ctx
 
 
@@ -214,7 +233,7 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
     """
     if ctx is None:
         raise ShapeError("ls3d_backward: no saved forward state")
-    x, params, offsets, masks, (frames, idx, weights, frac, sampled) = ctx
+    x, params, offsets, masks, (frames, idx, weights, frac, columns) = ctx
     n_, c_in, t_, h, w = x.shape
     if grad_y.shape != (n_, params.out_channels, t_, h, w):
         raise ShapeError(f"ls3d_backward: grad_y shape {grad_y.shape} does not match "
@@ -223,35 +242,39 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
     grid = (n_, t_, h, w)
 
     gy = _channels_last(grad_y)                                       # (N*T*P, C_out)
-    msk = _channels_last(masks)[:, :, None]                           # (N*T*P, K, 1)
-    columns = (sampled * msk).reshape(-1, taps * c_in)
     grad_w = _gemm_weight_inverse(columns.T @ gy, params.kernel)
     grad_w = grad_w.astype(params.weight.dtype, copy=False)
     grad_bias = grad_y.sum(axis=(0, 2, 3, 4))
 
-    # dL/d(m*sampled) per input channel, then split by product rule.
-    g_mod = (gy @ _gemm_weight(params.weight).T).reshape(-1, taps, c_in)
-    grad_masks = _channels_first(np.einsum("ikc,ikc->ik", g_mod, sampled), grid)
-    g_samp = g_mod * msk                                              # (N*T*P, K, C)
+    # dL/dcolumns, one row per tap and point: the unmasked sample gradient.
+    g_mod = (gy @ _gemm_weight(params.weight).T).reshape(-1, c_in)  # (N*T*P*K, C)
 
-    # Offset gradient: derivative of the bilinear kernel wrt the point. It
-    # is linear in the corners, so each corner's dot product with g_samp
-    # over C is taken first, on the corners gathered again.
-    corner = np.empty((idx.shape[1], c_in), dtype=frames.dtype)
-    g_flat = g_samp.reshape(-1, c_in)
-    s00, s01, s10, s11 = (np.einsum("ic,ic->i", _gather(frames, i, corner), g_flat) for i in idx)
+    # Each corner dotted with g_mod over C, on the corners gathered again
+    # block by block. The mask and offset gradients are linear in these.
+    s = np.empty(idx.shape, dtype=g_mod.dtype)
+    corner = np.empty((min(_BLOCK, len(g_mod)), c_in), dtype=frames.dtype)
+    for block in _blocks(len(g_mod)):
+        g_blk = g_mod[block]
+        buf = corner[:len(g_blk)]
+        for j in range(4):
+            np.einsum("ic,ic->i", _gather(frames, idx[j, block], buf), g_blk,
+                      out=s[j, block])
+    s00, s01, s10, s11 = s
+    m = _channels_last(masks).ravel()                                # (N*T*P*K,)
+    grad_masks = _channels_first(np.einsum("ji,ji->i", weights, s).reshape(-1, taps), grid)
     dr, dc = frac
-    grad_offsets = np.stack([(1 - dc) * (s10 - s00) + dc * (s11 - s01),
-                             (1 - dr) * (s01 - s00) + dr * (s11 - s10)], axis=1)
+    grad_offsets = np.stack([m * ((1 - dc) * (s10 - s00) + dc * (s11 - s01)),
+                             m * ((1 - dr) * (s01 - s00) + dr * (s11 - s10))], axis=1)
     grad_offsets = _channels_first(grad_offsets.reshape(-1, 2 * taps), grid)
 
-    # Input gradient: scatter g_samp through the four bilinear weights onto
-    # the frame rows. bincount is much faster than ufunc.at; each channel's
-    # gradient is made one contiguous row first, which is faster than a
-    # strided column of g_samp.
+    # Input gradient: scatter g_mod through the mask-weighted bilinear
+    # weights onto the frame rows. bincount is much faster than ufunc.at;
+    # each channel's gradient is made one contiguous row first, which is
+    # faster than a strided column of g_mod.
+    wm = weights * m
     rows = idx.ravel()
-    g_chan = np.ascontiguousarray(g_samp.reshape(-1, c_in).T)       # (C, N*T*P*K)
-    grad_frames = np.stack([np.bincount(rows, weights=(weights * g_c).ravel(),
+    g_chan = np.ascontiguousarray(g_mod.T)                           # (C, N*T*P*K)
+    grad_frames = np.stack([np.bincount(rows, weights=(wm * g_c).ravel(),
                                         minlength=len(frames)) for g_c in g_chan])
     grad_x = grad_frames[:, :-1].reshape(c_in, n_, t_, h, w).transpose(1, 0, 2, 3, 4)
     grad_x = np.ascontiguousarray(grad_x, dtype=x.dtype)

@@ -6,7 +6,9 @@ history is bit-identical from run to run. That holds whatever the BLAS
 thread count (OpenBLAS starts one thread per core unless
 OPENBLAS_NUM_THREADS says otherwise): a threaded GEMM splits its output
 between the threads, so every sum still runs in one fixed order. A test
-compares loss.csv under one and two threads.
+compares loss.csv under one and two threads. Nor does it depend on the
+allocator setting made at import (`ls3dconv._keep_freed_pages`), which
+only decides whether freed memory goes back to the kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, NumericError, ShapeError
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .fileio import load_named_tensors, save_named_tensors
 from .metrics import EvalReport, evaluate_pair, l1_loss
 from .net import VINet
@@ -42,9 +44,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.clips < 1:
-            raise ShapeError("epochs, batch_size and clips must be positive")
+            raise ConfigError("epochs, batch_size and clips must be positive")
         if self.learning_rate < 0:
-            raise ShapeError("learning_rate must be >= 0")
+            raise ConfigError("learning_rate must be >= 0")
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).

@@ -66,9 +66,25 @@ class TestConfig:
         code = main(["train", *TINY, "--set", "data.num_frames=9", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "data.num_frames" in capsys.readouterr().err
-        cfg = load_config(None, ["net.task=denoise", "data.num_frames=9"])
+        cfg = load_config(None, ["net.task=denoise", "data.noise_sigma=25",
+                                 "data.num_frames=9"])
         assert cfg["data.num_frames"] == 9
 
+    def test_denoise_without_noise_rejected(self, tmp_path, capsys):
+        """On clean clips the identity is the best denoiser, so there is
+        nothing to learn."""
+        out = tmp_path / "out"
+        code = main(["train", *TINY, "--set", "net.task=denoise", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "data.noise_sigma" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = load_config(None, ["net.task=denoise", "data.noise_sigma=0.5"])
+        assert cfg["data.noise_sigma"] == 0.5
+
+    def test_negative_learning_rate_exit_code(self, tmp_path, capsys):
+        code = main(["train", *TINY, "--set", "train.learning_rate=-1", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "learning_rate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key", [
         ("train", "train.epochs"), ("train", "train.batch_size"), ("train", "train.clips"),
@@ -235,6 +251,16 @@ class TestVizCommand:
         for p in pgms:
             assert str(p) in out
 
+    @pytest.mark.parametrize("key, value", [("viz.frame", 5), ("viz.row", 16),
+                                            ("viz.col", -2)])
+    def test_coordinate_outside_output_grid_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                      key, value):
+        """Checked against the (5, 16, 16) output grid before any net is built."""
+        monkeypatch.setattr(cli, "build_net", None)
+        code = main(["viz", *TINY, "--set", f"{key}={value}", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert f"{key} = {value}" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_reports_both_ops(self, tmp_path, capsys):
@@ -243,6 +269,10 @@ class TestBenchCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "shape (2,4,5,4,4)" in out
+        assert out.count("minor faults/call") == 4
         with open(tmp_path / "bench.csv") as f:
-            ops = [r["op"] for r in csv.DictReader(f)]
-        assert ops == ["conv3d_forward", "conv3d_backward", "ls3d_forward", "ls3d_backward"]
+            rows = list(csv.DictReader(f))
+        assert [r["op"] for r in rows] == ["conv3d_forward", "conv3d_backward",
+                                           "ls3d_forward", "ls3d_backward"]
+        assert list(rows[0])[-1] == "minor_faults_per_call"
+        assert all(float(r["minor_faults_per_call"]) >= 0 for r in rows)

@@ -4,11 +4,19 @@ The load-bearing test is reduction: with offsets == 0 and masks == 1 the
 operator must reproduce the direct-loop plain convolution elementwise.
 """
 
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ls3dconv import ls3d
 from ls3dconv.conv3d import Conv3dParams, conv3d_backward, conv3d_forward, conv3d_ref
 from ls3dconv.errors import NumericError, ShapeError
 from ls3dconv.ls3d import (Ls3dConv, bilinear_backward, bilinear_sample,
@@ -227,40 +235,62 @@ OPERATOR_INPUTS = dict(seed=st.integers(0, 2 ** 32 - 1), t_=st.sampled_from([1, 
                        hw=st.sampled_from([(3, 5), (6, 4), (5, 7)]))
 
 
-class TestDefinitionSum:
-    @settings(max_examples=12, deadline=None)
-    @given(**OPERATOR_INPUTS)
-    def test_forward_matches_definition(self, seed, t_, hw):
-        _, x, main, offsets, masks = draw_operator_inputs(seed, t_, hw)
-        inputs = (x, main.weight, main.bias, offsets, masks)
-        before = [a.copy() for a in inputs]
+# The hypothesis inputs fit in one column block; blocks of 7 rows put
+# block edges everywhere, and mid-tap.
+BLOCKS = (ls3d._BLOCK, 7)
 
-        y, _ = ls3d_forward(x, main, offsets, masks)
-        np.testing.assert_allclose(y, definition_sum(x, main, offsets, masks),
-                                   rtol=1e-12, atol=1e-12)
-        for a, b in zip(inputs, before):
-            assert a.tobytes() == b.tobytes()
-        y2, _ = ls3d_forward(x, main, offsets, masks)
-        assert y2.tobytes() == y.tobytes()
 
-    @settings(max_examples=12, deadline=None)
-    @given(**OPERATOR_INPUTS)
-    def test_backward_is_adjoint_of_forward(self, seed, t_, hw):
-        """y - bias is linear in x, in the weight and in the masks, so its
-        pairing with any upstream g equals each input's pairing with its
-        gradient: <y - b, g> = <x, gx> = <w, gw> = <m, gm>. With a random g
-        and random inputs this ties every entry of every gradient to the
-        forward, out-of-frame corners and integer offsets included."""
-        rng, x, main, offsets, masks = draw_operator_inputs(seed, t_, hw)
-        y, ctx = ls3d_forward(x, main, offsets, masks)
-        g = rng.standard_normal(y.shape)
-        gx, gw, _, _, gm = ls3d_backward(ctx, g)
+def check_forward(x, main, offsets, masks):
+    inputs = (x, main.weight, main.bias, offsets, masks)
+    before = [a.copy() for a in inputs]
+    expected = definition_sum(x, main, offsets, masks)
+    for block in BLOCKS:
+        with mock.patch.object(ls3d, "_BLOCK", block):
+            y, _ = ls3d_forward(x, main, offsets, masks)
+            np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12)
+            for a, b in zip(inputs, before):
+                assert a.tobytes() == b.tobytes()
+            y2, _ = ls3d_forward(x, main, offsets, masks)
+            assert y2.tobytes() == y.tobytes()
+
+
+def check_adjoint(rng, x, main, offsets, masks):
+    """y - bias is linear in x, in the weight and in the masks, so its
+    pairing with any upstream g equals each input's pairing with its
+    gradient: <y - b, g> = <x, gx> = <w, gw> = <m, gm>. With a random g
+    and random inputs this ties every entry of every gradient to the
+    forward, out-of-frame corners and integer offsets included."""
+    g = rng.standard_normal((x.shape[0], main.out_channels, *x.shape[2:]))
+    for block in BLOCKS:
+        with mock.patch.object(ls3d, "_BLOCK", block):
+            y, ctx = ls3d_forward(x, main, offsets, masks)
+            gx, gw, _, _, gm = ls3d_backward(ctx, g)
         linear = (y - main.bias[None, :, None, None, None]) * g
         # Relative to the sum of magnitudes, so cancellation in a pairing
         # cannot make the tolerance vanish.
         scale = np.abs(linear).sum()
         for value, grad in ((x, gx), (main.weight, gw), (masks, gm)):
             assert abs(np.vdot(value, grad) - linear.sum()) <= 1e-12 * scale
+
+
+class TestDefinitionSum:
+    @settings(max_examples=12, deadline=None)
+    @given(**OPERATOR_INPUTS)
+    def test_forward_matches_definition(self, seed, t_, hw):
+        check_forward(*draw_operator_inputs(seed, t_, hw)[1:])
+
+    @settings(max_examples=12, deadline=None)
+    @given(**OPERATOR_INPUTS)
+    def test_backward_is_adjoint_of_forward(self, seed, t_, hw):
+        check_adjoint(*draw_operator_inputs(seed, t_, hw))
+
+    def test_real_size_spans_three_blocks(self):
+        """2 x 2 x 8 x 10 points of 27 taps: 8640 column rows, three blocks
+        at the default block size, the last one partial."""
+        rng, x, main, offsets, masks = draw_operator_inputs(11, 2, (8, 10))
+        assert 2 * ls3d._BLOCK < x[:, 0].size * num_taps(main.kernel) < 3 * ls3d._BLOCK
+        check_forward(x, main, offsets, masks)
+        check_adjoint(rng, x, main, offsets, masks)
 
 
 class TestLs3dBackward:
@@ -363,3 +393,29 @@ class TestPredictBranches:
         layer = make_ls3d_layer(rng, channels=1, name="l", dtype=np.float64)
         with pytest.raises(ShapeError, match="keep-state"):
             layer.backward(np.zeros((1, 1, 1, 4, 4)))
+
+
+def _has_mallopt() -> bool:
+    return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt")
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+def test_freed_pages_are_kept_after_import():
+    """After `import ls3dconv`, a freed 8 MiB array's pages serve the next
+    one: 20 allocate-touch-free rounds, after one to grow the heap, take
+    under 200 minor faults (about 500 per round when the pages go back to
+    the kernel on free)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import resource, numpy as np, ls3dconv\n"
+        "np.ones(1 << 20)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    np.ones(1 << 20)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200
