@@ -122,9 +122,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"--set expects key=value, got '{item}'")
         key, raw = item.split("=", 1)
         apply(key, raw, "--set")
-    if cfg["net.task"] == "interpolate" and cfg["data.num_frames"] != 5:
-        raise ConfigError(f"data.num_frames = {cfg['data.num_frames']} has no effect on "
-                          "net.task = interpolate, which always uses 5-frame clips")
+    for key, used in (("data.num_frames", 5), ("data.noise_sigma", 0.0)):
+        if cfg["net.task"] == "interpolate" and cfg[key] != used:
+            raise ConfigError(f"{key} = {cfg[key]} has no effect on net.task = interpolate, "
+                              "which always uses clean 5-frame clips")
     if cfg["net.task"] == "denoise" and cfg["data.noise_sigma"] <= 0:
         raise ConfigError("net.task = denoise needs data.noise_sigma > 0: on clean clips "
                           "the identity is the best denoiser")

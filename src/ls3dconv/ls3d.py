@@ -18,13 +18,13 @@ on the same (T, H, W) grid as the input.
 The operator is one deformable column buffer and one GEMM, the
 "deformable im2col" of DCN (Dai et al. 2017) and DCNv2 (Zhu et al. 2019):
 
-* The input is laid out channels last, as the rows of a
-  (N*T*H*W + 1, C) matrix whose last row is zero.
+* The input is laid out as conv3d lays it out: channels last, zero-padded
+  by K_t//2 frames in time and by 2 rows and columns in space.
 * One vector pass computes the four bilinear corner rows and weights of
-  every tap at every output point. A corner outside the input, whether
-  outside its frame or in a frame t+tau outside [0, T), points at the
-  zero row, so a plain row gather reads zero and no validity mask is
-  needed.
+  every tap at every output point. Each top-left corner is clamped to
+  rows -2..H and columns -2..W before its integer cast; one with no read
+  inside the frame still has none, and lands in the zero border. So a
+  plain row gather reads zero outside the input, and no mask is needed.
 * As in DCNv2, the mask is folded into the four bilinear weights, so the
   column buffer (N*T*H*W*K, C) is sum_j (w_j * m) * corner_j, written
   once. It is filled in blocks of `_BLOCK` rows: the first corner is
@@ -43,7 +43,7 @@ offset gradient is m times the bilinear kernel's derivative of the s_j.
 grad_x is the adjoint of the sampling: g scattered through the
 mask-weighted bilinear weights onto the same corner rows the forward
 gathered, one `bincount` per input channel over all four corners of
-every tap. The zero row collects the out-of-range corners and is dropped.
+every tap, onto the padded frames; grad_x is their interior.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conv3d import (Conv3dParams, _channels_first, _channels_last, _gemm_weight,
-                     _gemm_weight_inverse, conv3d_backward, conv3d_forward)
+                     _gemm_weight_inverse, _pad_channels_last, conv3d_backward, conv3d_forward)
 from .errors import NumericError, ShapeError
 from .tensor import check_tensor5, sigmoid
 
@@ -124,39 +124,35 @@ def bilinear_backward(frame: np.ndarray, point, upstream: float):
 # --- column buffer ---------------------------------------------------------
 
 def _corners(x: np.ndarray, kernel, offsets: np.ndarray):
-    """Channels-last frames and the 4 bilinear corners of every tap.
+    """Zero-padded channels-last frames and the 4 bilinear corners of every tap.
 
     Returns (frames, idx, weights, frac):
-      frames  (N*T*H*W + 1, C): x channels last, plus one zero row at the end;
-      idx     (4, N*T*H*W*K) frame rows of the corners 00, 01, 10, 11; a
-              corner outside the input points at the zero row;
+      frames  (N*(T+2p_t)*(H+4)*(W+4), C): x channels last, zero-padded by
+              p_t = K_t//2 frames in time and by 2 rows and columns in space;
+      idx     (4, N*T*H*W*K) frame rows of the corners 00, 01, 10, 11;
       weights (4, N*T*H*W*K) the matching bilinear weights;
       frac    (dr, dc), the fractional parts of the sampling point.
     Entries run over (n, t, h, w, tap), tap fastest.
     """
     n_, c_in, t_, h, w = x.shape
-    zero_row = n_ * t_ * h * w
-    frames = np.zeros((zero_row + 1, c_in), dtype=x.dtype)
-    frames[:-1].reshape(n_, t_, h, w, c_in)[...] = x.transpose(0, 2, 3, 4, 1)
+    pt = kernel[0] // 2
+    frames = _pad_channels_last(x, (pt, 2, 2))
+    tp, hp, wp = frames.shape[1:4]
+    frames = frames.reshape(-1, c_in)
 
     tau, pr, pc = np.array([tap[1:] for tap in tap_offsets(kernel)]).T
     off = offsets.reshape(n_, len(tau), 2, t_, h, w).transpose(2, 0, 3, 4, 5, 1)
     rows = (np.arange(h, dtype=x.dtype)[:, None, None] + pr.astype(x.dtype)) + off[0]
     cols = (np.arange(w, dtype=x.dtype)[:, None] + pc.astype(x.dtype)) + off[1]
-    r0 = np.floor(rows)
-    c0 = np.floor(cols)
-    dr = (rows - r0).ravel()
-    dc = (cols - c0).ravel()
-    r0 = r0.astype(np.int64)
-    c0 = c0.astype(np.int64)
-    t_src = np.arange(t_)[:, None, None, None] + tau                 # (T, 1, 1, K)
-    in_time = (t_src >= 0) & (t_src < t_)
-    frame = np.arange(n_)[:, None, None, None, None] * t_ + t_src
-
-    idx = np.empty((4, dr.size), dtype=np.int64)
-    for j, (r, c) in enumerate(((r0, c0), (r0, c0 + 1), (r0 + 1, c0), (r0 + 1, c0 + 1))):
-        inside = in_time & (r >= 0) & (r < h) & (c >= 0) & (c < w)
-        idx[j] = np.where(inside, (frame * h + r) * w + c, zero_row).ravel()
+    r0, c0 = np.floor(rows), np.floor(cols)
+    dr, dc = (rows - r0).ravel(), (cols - c0).ravel()
+    # Clamped to rows -2..H, a top-left corner with both rows outside the
+    # frame keeps them outside, in the zero border; likewise for columns.
+    r0 = np.clip(r0, -2, h, out=r0).astype(np.int64) + 2
+    c0 = np.clip(c0, -2, w, out=c0).astype(np.int64) + 2
+    t_src = np.arange(t_)[:, None, None, None] + (tau + pt)          # (T, 1, 1, K), padded
+    frame = np.arange(n_)[:, None, None, None, None] * tp + t_src
+    idx = ((frame * hp + r0) * wp + c0).ravel() + np.array([0, 1, wp, wp + 1])[:, None]
     weights = np.stack([(1 - dr) * (1 - dc), (1 - dr) * dc, dr * (1 - dc), dr * dc])
     return frames, idx, weights, (dr, dc)
 
@@ -276,8 +272,9 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
     g_chan = np.ascontiguousarray(g_mod.T)                           # (C, N*T*P*K)
     grad_frames = np.stack([np.bincount(rows, weights=(wm * g_c).ravel(),
                                         minlength=len(frames)) for g_c in g_chan])
-    grad_x = grad_frames[:, :-1].reshape(c_in, n_, t_, h, w).transpose(1, 0, 2, 3, 4)
-    grad_x = np.ascontiguousarray(grad_x, dtype=x.dtype)
+    pt = params.kernel[0] // 2
+    grad_x = grad_frames.reshape(c_in, n_, t_ + 2 * pt, h + 4, w + 4)[:, :, pt:pt + t_, 2:-2, 2:-2]
+    grad_x = np.ascontiguousarray(grad_x.transpose(1, 0, 2, 3, 4), dtype=x.dtype)
 
     return grad_x, grad_w, grad_bias, grad_offsets, grad_masks
 
@@ -337,7 +334,7 @@ class Ls3dConv:
         offsets, masks, off_ctx, mask_ctx = self._predict(x)
         y, core_ctx = ls3d_forward(x, self.main, offsets, masks)
         if keep_state:
-            self._state = (core_ctx, off_ctx, mask_ctx, masks)
+            self._state = (core_ctx, off_ctx, mask_ctx)
         else:
             self._state = None
         return y
@@ -345,7 +342,8 @@ class Ls3dConv:
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
         if self._state is None:
             raise ShapeError(f"{self.name}: backward called without a keep-state forward")
-        core_ctx, off_ctx, mask_ctx, masks = self._state
+        core_ctx, off_ctx, mask_ctx = self._state
+        masks = core_ctx[3]
         grad_x, grad_w, grad_b, grad_off, grad_masks = ls3d_backward(core_ctx, grad_y)
         gx_off, gw_off, gb_off = conv3d_backward(off_ctx, grad_off)
         grad_logits = grad_masks * masks * (1 - masks)

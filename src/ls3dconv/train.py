@@ -43,8 +43,8 @@ class TrainConfig:
     grad_clip: float = 10.0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.clips < 1:
-            raise ConfigError("epochs, batch_size and clips must be positive")
+        if min(self.epochs, self.batch_size, self.clips, self.eval_clips) < 1:
+            raise ConfigError("epochs, batch_size, clips and eval_clips must be positive")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
 

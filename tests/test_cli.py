@@ -61,11 +61,14 @@ class TestConfig:
             assert key.split("=")[0] in capsys.readouterr().err
 
     def test_num_frames_rejected_for_interpolation(self, tmp_path, capsys):
-        with pytest.raises(ConfigError, match="data.num_frames"):
-            load_config(None, ["data.num_frames=9"])
-        code = main(["train", *TINY, "--set", "data.num_frames=9", "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert "data.num_frames" in capsys.readouterr().err
+        """Interpolation always trains on clean 5-frame clips."""
+        for item in ("data.num_frames=9", "data.noise_sigma=25"):
+            key = item.split("=")[0]
+            with pytest.raises(ConfigError, match=key):
+                load_config(None, [item])
+            code = main(["train", *TINY, "--set", item, "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert key in capsys.readouterr().err
         cfg = load_config(None, ["net.task=denoise", "data.noise_sigma=25",
                                  "data.num_frames=9"])
         assert cfg["data.num_frames"] == 9

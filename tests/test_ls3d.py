@@ -169,6 +169,22 @@ class TestReductionOracle:
         yc, _ = ls3d_forward(2.0 * x - 0.7 * z, main, offsets, masks)
         np.testing.assert_allclose(yc, 2.0 * ya - 0.7 * yb, rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_offsets_beyond_int64_read_zero(self, dtype):
+        """Every tap lands 1e30 rows or columns away, which no int64 holds:
+        y is the bias alone and nothing flows back to x or the fields."""
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((1, 2, 2, 4, 5)).astype(dtype)
+        main = rand_main(rng, 2, 3, dtype=dtype)
+        taps = num_taps(main.kernel)
+        offsets = rng.choice([-1e30, 1e30], (1, 2 * taps, 2, 4, 5)).astype(dtype)
+        masks = rng.uniform(0, 1, (1, taps, 2, 4, 5)).astype(dtype)
+        y, ctx = ls3d_forward(x, main, offsets, masks)
+        np.testing.assert_array_equal(y, np.zeros_like(y) + main.bias[:, None, None, None])
+        gx, _, _, goff, gmask = ls3d_backward(ctx, rng.standard_normal(y.shape).astype(dtype))
+        for g in (gx, goff, gmask):
+            assert not g.any()
+
     def test_nonfinite_offsets_rejected(self):
         x = np.zeros((1, 1, 2, 4, 4), dtype=np.float64)
         main = rand_main(np.random.default_rng(0), 1, 1)
@@ -217,16 +233,18 @@ def definition_sum(x, main, offsets, masks):
 
 def draw_operator_inputs(seed, t_, hw):
     """Fractional offsets differing per tap and position, some landing
-    exactly on integers and some fully outside the frame."""
+    exactly on integers, some fully outside the frame and some beyond the
+    range of int64."""
     rng = np.random.default_rng(seed)
     h, w = hw
     x = rng.standard_normal((2, 2, t_, h, w))
     main = rand_main(rng, 2, 3)
     taps = num_taps(main.kernel)
     offsets = rng.uniform(-2.5, 2.5, (2, 2 * taps, t_, h, w))
-    kind = rng.integers(0, 4, offsets.shape)
+    kind = rng.integers(0, 5, offsets.shape)
     offsets[kind == 1] = np.round(offsets[kind == 1])
     offsets[kind == 2] = rng.choice([-1.0, 1.0], int(np.sum(kind == 2))) * (max(h, w) + 1.5)
+    offsets[kind == 4] = rng.choice([-1e30, 1e30], int(np.sum(kind == 4)))
     masks = rng.uniform(0, 1, (2, taps, t_, h, w))
     return rng, x, main, offsets, masks
 

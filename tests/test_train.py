@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ls3dconv import train
-from ls3dconv.errors import CheckpointError, NumericError, ShapeError
+from ls3dconv.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from ls3dconv.fileio import load_named_tensors, save_named_tensors
 from ls3dconv.net import NetworkSpec, build_net
 from ls3dconv.train import (AdamState, TrainConfig, adam_step, clip_grad_norm,
@@ -113,6 +113,13 @@ class TestTrainLoop:
         r1 = train_loop(small_net(seed=1), small_interp_config(epochs=3))
         r2 = train_loop(small_net(seed=1), small_interp_config(epochs=3))
         assert r1.loss_rows == r2.loss_rows
+
+    @pytest.mark.parametrize("key", ["epochs", "batch_size", "clips", "eval_clips"])
+    def test_zero_count_rejected(self, key):
+        """eval_clips = 0 would train a full epoch, then divide by zero
+        averaging the empty eval set."""
+        with pytest.raises(ConfigError, match="must be positive"):
+            small_interp_config(**{key: 0, "eval_every": 1})
 
     def test_task_mismatch_rejected(self):
         net = small_net(task="denoise")
