@@ -24,14 +24,14 @@ The operator is one deformable column buffer and one GEMM, the
   every tap at every output point. Each top-left corner is clamped to
   rows -2..H and columns -2..W before its integer cast; one with no read
   inside the frame still has none, and lands in the zero border. So a
-  plain row gather reads zero outside the input, and no mask is needed.
-* As in DCNv2, the mask is folded into the four bilinear weights, so the
-  column buffer (N*T*H*W*K, C) is sum_j (w_j * m) * corner_j, written
-  once. It is filled in blocks of `_BLOCK` rows: the first corner is
-  gathered straight into the block, the other three into one reused
-  block-sized buffer, so the corners stay in cache and no full-size
-  temporary is made. The output is one GEMM of the columns, viewed as
-  (N*T*H*W, K*C_in), with the weight reshaped to (K*C_in, C_out).
+  plain row read gives zero outside the input, and no mask is needed.
+* The sampling is a sparse matrix S, one row per tap and output point
+  with its four corners as entries, and as in DCNv2 the mask is folded
+  into their bilinear weights (w_j * m). The column buffer
+  (N*T*H*W*K, C) is S @ frames: one call of scipy's compiled CSR kernel
+  `csr_matvecs` on (indptr, idx, w * m), each row summing its corners in
+  the order 00, 01, 10, 11. The output is one GEMM of the columns, viewed
+  as (N*T*H*W, K*C_in), with the weight reshaped to (K*C_in, C_out).
 
 Forward and backward are written by hand; `ls3d_backward` is exact
 reverse-mode differentiation of the sum above. grad_w and the column
@@ -40,13 +40,22 @@ corners are gathered again, block by block, and each is dotted with the
 unmasked g over C, giving s_00..s_11. Everything else is a function of
 those four numbers per tap: the mask gradient is sum_j w_j * s_j, and the
 offset gradient is m times the bilinear kernel's derivative of the s_j.
-grad_x is the adjoint of the sampling: g scattered through the
-mask-weighted bilinear weights onto the same corner rows the forward
-gathered, one `bincount` per input channel over all four corners of
-every tap, onto the padded frames; grad_x is their interior.
+grad_x is the adjoint of the sampling, S^T @ g onto the padded frames,
+accumulated in float64: the same three arrays read as a CSC matrix are
+S^T, so it is one call of `csc_matvecs`, with no sort or transpose;
+grad_x is the interior of the result.
+
+The two kernels come from scipy's `scipy/sparse/_sparsetools` extension,
+loaded from its file at the first LS3D call and cached in this module:
+importing `scipy.sparse` itself would load all of scipy.sparse for these
+two functions. Nets without an LS3D layer never load it.
 """
 
 from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
 
@@ -61,9 +70,48 @@ __all__ = [
     "num_taps", "tap_offsets", "Ls3dConv",
 ]
 
-# Rows of the column buffer built, or gathered again, per pass: with 32
+# Rows of the column buffer gathered again per backward pass: with 32
 # float32 channels a block is 512 KiB, small enough to stay in cache.
 _BLOCK = 4096
+
+# The oldest scipy whose sparse kernels this module was tested with.
+SCIPY_MIN = "1.17.1"
+
+# scipy's compiled sparse kernels, once loaded by `_sparsetools`.
+_SPARSETOOLS = None
+
+
+def _sparsetools():
+    """scipy's `_sparsetools` extension module, loaded from its file alone
+    on first use (no `import scipy.sparse`) and cached.
+
+    Raises ImportError naming the scipy found when it or its kernels are
+    missing.
+    """
+    global _SPARSETOOLS
+    if _SPARSETOOLS is None:
+        spec = importlib.util.find_spec("scipy")
+        folders = (spec.submodule_search_locations or []) if spec else []
+        paths = [os.path.join(folder, "sparse", "_sparsetools" + suffix)
+                 for folder in folders for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        found = next((path for path in paths if os.path.isfile(path)), None)
+        module = None
+        if found is not None:
+            file_spec = importlib.util.spec_from_file_location("scipy.sparse._sparsetools", found)
+            module = importlib.util.module_from_spec(file_spec)
+            file_spec.loader.exec_module(module)
+        if not all(hasattr(module, fn) for fn in ("csr_matvecs", "csc_matvecs")):
+            # Imported here only: it pulls in 1.7 MB of modules.
+            from importlib import metadata
+            try:
+                version = metadata.version("scipy")
+            except metadata.PackageNotFoundError:
+                version = "none"
+            raise ImportError(f"ls3d needs scipy >= {SCIPY_MIN} for its compiled sparse "
+                              f"kernels (scipy/sparse/_sparsetools with csr_matvecs and "
+                              f"csc_matvecs); found scipy {version}")
+        _SPARSETOOLS = module
+    return _SPARSETOOLS
 
 
 def num_taps(kernel) -> int:
@@ -126,11 +174,13 @@ def bilinear_backward(frame: np.ndarray, point, upstream: float):
 def _corners(x: np.ndarray, kernel, offsets: np.ndarray):
     """Zero-padded channels-last frames and the 4 bilinear corners of every tap.
 
-    Returns (frames, idx, weights, frac):
+    Returns (frames, indptr, idx, weights, frac):
       frames  (N*(T+2p_t)*(H+4)*(W+4), C): x channels last, zero-padded by
               p_t = K_t//2 frames in time and by 2 rows and columns in space;
-      idx     (4, N*T*H*W*K) frame rows of the corners 00, 01, 10, 11;
-      weights (4, N*T*H*W*K) the matching bilinear weights;
+      indptr  (N*T*H*W*K + 1,) row starts 0, 4, 8, ... of the CSR sampling
+              matrix whose column indices are `idx`;
+      idx     (N*T*H*W*K, 4) frame rows of the corners 00, 01, 10, 11;
+      weights (N*T*H*W*K, 4) the matching bilinear weights;
       frac    (dr, dc), the fractional parts of the sampling point.
     Entries run over (n, t, h, w, tap), tap fastest.
     """
@@ -152,9 +202,10 @@ def _corners(x: np.ndarray, kernel, offsets: np.ndarray):
     c0 = np.clip(c0, -2, w, out=c0).astype(np.int64) + 2
     t_src = np.arange(t_)[:, None, None, None] + (tau + pt)          # (T, 1, 1, K), padded
     frame = np.arange(n_)[:, None, None, None, None] * tp + t_src
-    idx = ((frame * hp + r0) * wp + c0).ravel() + np.array([0, 1, wp, wp + 1])[:, None]
-    weights = np.stack([(1 - dr) * (1 - dc), (1 - dr) * dc, dr * (1 - dc), dr * dc])
-    return frames, idx, weights, (dr, dc)
+    idx = ((frame * hp + r0) * wp + c0).reshape(-1, 1) + np.array([0, 1, wp, wp + 1])
+    indptr = np.arange(0, idx.size + 1, 4, dtype=idx.dtype)
+    weights = np.stack([(1 - dr) * (1 - dc), (1 - dr) * dc, dr * (1 - dc), dr * dc], axis=1)
+    return frames, indptr, idx, weights, (dr, dc)
 
 
 def _gather(frames: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -198,27 +249,23 @@ def ls3d_forward(x: np.ndarray, params: Conv3dParams, offsets: np.ndarray,
                  masks: np.ndarray):
     """Offset-and-mask-modulated 3D convolution. Returns (y, ctx)."""
     _validate_fields(x, params, offsets, masks)
+    sparsetools = _sparsetools()
     n_, c_in, t_, h, w = x.shape
     taps = num_taps(params.kernel)
-    frames, idx, weights, frac = _corners(x, params.kernel, offsets)
-    wm = weights * _channels_last(masks).ravel()                     # (4, N*T*P*K)
+    frames, indptr, idx, weights, frac = _corners(x, params.kernel, offsets)
+    wm = weights * _channels_last(masks).reshape(-1, 1)              # (N*T*P*K, 4)
 
-    columns = np.empty((idx.shape[1], c_in), dtype=x.dtype)
-    corner = np.empty((min(_BLOCK, len(columns)), c_in), dtype=x.dtype)
-    for block in _blocks(len(columns)):
-        out = _gather(frames, idx[0, block], columns[block])
-        out *= wm[0, block, None]
-        buf = corner[:len(out)]
-        for i, wt in zip(idx[1:, block], wm[1:, block]):
-            _gather(frames, i, buf)
-            buf *= wt[:, None]
-            out += buf
+    # columns = S @ frames. The kernel needs one dtype throughout and does
+    # not check its indices; `_corners` keeps every one inside `frames`.
+    columns = np.zeros((len(idx), c_in), dtype=x.dtype)
+    sparsetools.csr_matvecs(len(idx), len(frames), c_in, indptr, idx,
+                            wm.astype(x.dtype, copy=False), frames, columns)
     columns = columns.reshape(-1, taps * c_in)                       # (N*T*P, K*C)
 
     y = _channels_first(columns @ _gemm_weight(params.weight), (n_, t_, h, w))
     y = y.astype(x.dtype, copy=False)
     y += params.bias[None, :, None, None, None].astype(x.dtype)
-    ctx = (x, params, offsets, masks, (frames, idx, weights, frac, columns))
+    ctx = (x, params, offsets, masks, (frames, indptr, idx, weights, frac, columns))
     return y, ctx
 
 
@@ -229,7 +276,7 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
     """
     if ctx is None:
         raise ShapeError("ls3d_backward: no saved forward state")
-    x, params, offsets, masks, (frames, idx, weights, frac, columns) = ctx
+    x, params, offsets, masks, (frames, indptr, idx, weights, frac, columns) = ctx
     n_, c_in, t_, h, w = x.shape
     if grad_y.shape != (n_, params.out_channels, t_, h, w):
         raise ShapeError(f"ls3d_backward: grad_y shape {grad_y.shape} does not match "
@@ -247,34 +294,32 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
 
     # Each corner dotted with g_mod over C, on the corners gathered again
     # block by block. The mask and offset gradients are linear in these.
-    s = np.empty(idx.shape, dtype=g_mod.dtype)
+    s = np.empty((4, len(idx)), dtype=g_mod.dtype)
     corner = np.empty((min(_BLOCK, len(g_mod)), c_in), dtype=frames.dtype)
     for block in _blocks(len(g_mod)):
         g_blk = g_mod[block]
         buf = corner[:len(g_blk)]
         for j in range(4):
-            np.einsum("ic,ic->i", _gather(frames, idx[j, block], buf), g_blk,
+            np.einsum("ic,ic->i", _gather(frames, idx[block, j], buf), g_blk,
                       out=s[j, block])
     s00, s01, s10, s11 = s
     m = _channels_last(masks).ravel()                                # (N*T*P*K,)
-    grad_masks = _channels_first(np.einsum("ji,ji->i", weights, s).reshape(-1, taps), grid)
+    grad_masks = _channels_first(np.einsum("ij,ji->i", weights, s).reshape(-1, taps), grid)
     dr, dc = frac
     grad_offsets = np.stack([m * ((1 - dc) * (s10 - s00) + dc * (s11 - s01)),
                              m * ((1 - dr) * (s01 - s00) + dr * (s11 - s10))], axis=1)
     grad_offsets = _channels_first(grad_offsets.reshape(-1, 2 * taps), grid)
 
-    # Input gradient: scatter g_mod through the mask-weighted bilinear
-    # weights onto the frame rows. bincount is much faster than ufunc.at;
-    # each channel's gradient is made one contiguous row first, which is
-    # faster than a strided column of g_mod.
-    wm = weights * m
-    rows = idx.ravel()
-    g_chan = np.ascontiguousarray(g_mod.T)                           # (C, N*T*P*K)
-    grad_frames = np.stack([np.bincount(rows, weights=(wm * g_c).ravel(),
-                                        minlength=len(frames)) for g_c in g_chan])
+    # Input gradient: grad_frames = S^T @ g_mod, in float64. The CSR arrays
+    # of S read as CSC are S^T, so no sort or transpose is needed.
+    grad_frames = np.zeros((len(frames), c_in))
+    _sparsetools().csc_matvecs(len(frames), len(idx), c_in, indptr, idx,
+                               (weights * m[:, None]).astype(np.float64, copy=False),
+                               g_mod.astype(np.float64, copy=False), grad_frames)
     pt = params.kernel[0] // 2
-    grad_x = grad_frames.reshape(c_in, n_, t_ + 2 * pt, h + 4, w + 4)[:, :, pt:pt + t_, 2:-2, 2:-2]
-    grad_x = np.ascontiguousarray(grad_x.transpose(1, 0, 2, 3, 4), dtype=x.dtype)
+    grad_frames = grad_frames.reshape(n_, t_ + 2 * pt, h + 4, w + 4, c_in)
+    grad_x = grad_frames[:, pt:pt + t_, 2:-2, 2:-2].transpose(0, 4, 1, 2, 3)
+    grad_x = np.ascontiguousarray(grad_x, dtype=x.dtype)
 
     return grad_x, grad_w, grad_bias, grad_offsets, grad_masks
 
@@ -284,7 +329,9 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
 class Ls3dConv:
     """LS3D layer: main kernel plus offset and mask prediction convolutions.
 
-    Both branches consume the layer input. Offsets come out of the offset
+    Both branches consume the layer input, so they run as one convolution
+    with their weights stacked, offset channels first, and its output and
+    gradient are split between them. Offsets come out of the offset
     branch raw (plus an optional constant `offset_shift`, which the
     gradient checker uses to stay off the bilinear kernel's integer
     kinks); masks are squashed through a sigmoid into [0, 1].
@@ -300,6 +347,11 @@ class Ls3dConv:
         if mask_branch.out_channels != taps:
             raise ShapeError(f"mask branch must emit {taps} channels, "
                              f"emits {mask_branch.out_channels}")
+        geometry = [(b.kernel, tuple(b.stride), tuple(b.padding))
+                    for b in (offset_branch, mask_branch)]
+        if geometry[0] != geometry[1]:
+            raise ShapeError(f"offset and mask branches must share kernel, stride and "
+                             f"padding, got {geometry[0]} and {geometry[1]}")
         self.main = main
         self.offset_branch = offset_branch
         self.mask_branch = mask_branch
@@ -320,21 +372,25 @@ class Ls3dConv:
 
     def predict_offsets_masks(self, x: np.ndarray):
         """Run the two branches; returns (offsets, masks) only."""
-        offsets, masks, _, _ = self._predict(x)
+        offsets, masks, _ = self._predict(x)
         return offsets, masks
 
     def _predict(self, x: np.ndarray):
-        raw_off, off_ctx = conv3d_forward(x, self.offset_branch)
+        off, msk = self.offset_branch, self.mask_branch
+        branches = Conv3dParams(np.concatenate([off.weight, msk.weight]),
+                                np.concatenate([off.bias, msk.bias]),
+                                stride=off.stride, padding=off.padding)
+        raw, branch_ctx = conv3d_forward(x, branches)
+        raw_off, logits = np.split(raw, [off.out_channels], axis=1)
         if self.offset_shift:
             raw_off = raw_off + x.dtype.type(self.offset_shift)
-        logits, mask_ctx = conv3d_forward(x, self.mask_branch)
-        return raw_off, sigmoid(logits), off_ctx, mask_ctx
+        return raw_off, sigmoid(logits), branch_ctx
 
     def forward(self, x: np.ndarray, keep_state: bool = False) -> np.ndarray:
-        offsets, masks, off_ctx, mask_ctx = self._predict(x)
+        offsets, masks, branch_ctx = self._predict(x)
         y, core_ctx = ls3d_forward(x, self.main, offsets, masks)
         if keep_state:
-            self._state = (core_ctx, off_ctx, mask_ctx)
+            self._state = (core_ctx, branch_ctx)
         else:
             self._state = None
         return y
@@ -342,12 +398,15 @@ class Ls3dConv:
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
         if self._state is None:
             raise ShapeError(f"{self.name}: backward called without a keep-state forward")
-        core_ctx, off_ctx, mask_ctx = self._state
+        core_ctx, branch_ctx = self._state
         masks = core_ctx[3]
         grad_x, grad_w, grad_b, grad_off, grad_masks = ls3d_backward(core_ctx, grad_y)
-        gx_off, gw_off, gb_off = conv3d_backward(off_ctx, grad_off)
         grad_logits = grad_masks * masks * (1 - masks)
-        gx_mask, gw_mask, gb_mask = conv3d_backward(mask_ctx, grad_logits)
+        gx_branch, gw_branch, gb_branch = conv3d_backward(
+            branch_ctx, np.concatenate([grad_off, grad_logits], axis=1))
+        split = [self.offset_branch.out_channels]
+        gw_off, gw_mask = np.split(gw_branch, split)
+        gb_off, gb_mask = np.split(gb_branch, split)
         self.grads = {
             f"{self.name}.weight": grad_w,
             f"{self.name}.bias": grad_b,
@@ -357,4 +416,4 @@ class Ls3dConv:
             f"{self.name}.mask.bias": gb_mask,
         }
         self._state = None
-        return grad_x + gx_off + gx_mask
+        return grad_x + gx_branch

@@ -5,8 +5,11 @@ pure function of derived seeds, batches run in a fixed order, and the loss
 history is bit-identical from run to run. That holds whatever the BLAS
 thread count (OpenBLAS starts one thread per core unless
 OPENBLAS_NUM_THREADS says otherwise): a threaded GEMM splits its output
-between the threads, so every sum still runs in one fixed order. A test
-compares loss.csv under one and two threads. Nor does it depend on the
+between the threads, so every sum still runs in one fixed order. The LS3D
+sampling kernels (scipy's `csr_matvecs` and `csc_matvecs`) are
+single-threaded and sum in a fixed order: row by row, and each row's
+corners in turn. A test compares loss.csv under one and two threads. Nor
+does it depend on the
 allocator setting made at import (`ls3dconv._keep_freed_pages`), which
 only decides whether freed memory goes back to the kernel.
 """

@@ -5,6 +5,9 @@ operator must reproduce the direct-loop plain convolution elementwise.
 """
 
 import ctypes
+import importlib.machinery
+import importlib.metadata
+import importlib.util
 import os
 import subprocess
 import sys
@@ -22,6 +25,7 @@ from ls3dconv.errors import NumericError, ShapeError
 from ls3dconv.ls3d import (Ls3dConv, bilinear_backward, bilinear_sample,
                            ls3d_backward, ls3d_forward, num_taps, tap_offsets)
 from ls3dconv.net import make_ls3d_layer
+from ls3dconv.tensor import sigmoid
 
 FRAME = np.array([[0.0, 1.0], [2.0, 3.0]])
 
@@ -253,23 +257,22 @@ OPERATOR_INPUTS = dict(seed=st.integers(0, 2 ** 32 - 1), t_=st.sampled_from([1, 
                        hw=st.sampled_from([(3, 5), (6, 4), (5, 7)]))
 
 
-# The hypothesis inputs fit in one column block; blocks of 7 rows put
-# block edges everywhere, and mid-tap.
+# The backward regathers corners in blocks of `_BLOCK` rows. The
+# hypothesis inputs fit in one block; blocks of 7 rows put block edges
+# everywhere, and mid-tap.
 BLOCKS = (ls3d._BLOCK, 7)
 
 
 def check_forward(x, main, offsets, masks):
     inputs = (x, main.weight, main.bias, offsets, masks)
     before = [a.copy() for a in inputs]
-    expected = definition_sum(x, main, offsets, masks)
-    for block in BLOCKS:
-        with mock.patch.object(ls3d, "_BLOCK", block):
-            y, _ = ls3d_forward(x, main, offsets, masks)
-            np.testing.assert_allclose(y, expected, rtol=1e-12, atol=1e-12)
-            for a, b in zip(inputs, before):
-                assert a.tobytes() == b.tobytes()
-            y2, _ = ls3d_forward(x, main, offsets, masks)
-            assert y2.tobytes() == y.tobytes()
+    y, _ = ls3d_forward(x, main, offsets, masks)
+    np.testing.assert_allclose(y, definition_sum(x, main, offsets, masks),
+                               rtol=1e-12, atol=1e-12)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+    y2, _ = ls3d_forward(x, main, offsets, masks)
+    assert y2.tobytes() == y.tobytes()
 
 
 def check_adjoint(rng, x, main, offsets, masks):
@@ -380,6 +383,19 @@ class TestLs3dBackward:
         with pytest.raises(ShapeError, match="state"):
             ls3d_backward(None, np.zeros((1, 1, 1, 1, 1)))
 
+    def test_float64_fields_with_float32_input(self):
+        """float64 offsets and masks on a float32 input run, and match the
+        all-float32 call to float32 precision."""
+        rng, x, main, offsets, masks = self._setup(4, dtype=np.float32)
+        g = rng.standard_normal((1, 2, 3, 5, 6)).astype(np.float32)
+        y32, ctx32 = ls3d_forward(x, main, offsets, masks)
+        y64, ctx64 = ls3d_forward(x, main, offsets.astype(np.float64), masks.astype(np.float64))
+        assert y64.dtype == np.float32
+        np.testing.assert_allclose(y64, y32, rtol=1e-5, atol=1e-5 * np.abs(y32).max())
+        for a, b in zip(ls3d_backward(ctx64, g), ls3d_backward(ctx32, g)):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5 * np.abs(b).max())
+
 
 class TestPredictBranches:
     def test_zero_branches_give_zero_offsets_and_half_masks(self):
@@ -411,6 +427,101 @@ class TestPredictBranches:
         layer = make_ls3d_layer(rng, channels=1, name="l", dtype=np.float64)
         with pytest.raises(ShapeError, match="keep-state"):
             layer.backward(np.zeros((1, 1, 1, 4, 4)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_branches_match_two_convs(self, dtype):
+        """The one stacked branch conv gives the offsets and masks of two
+        separate convs bit for bit, and their gradients to 1e-6.
+
+        Bit for bit holds where BLAS runs its blocked GEMM kernels, as at
+        the nets' widths; with 3 channels OpenBLAS's small-matrix kernels
+        round the last column differently at 81 columns than at 27."""
+        rng = np.random.default_rng(4)
+        layer = make_ls3d_layer(rng, channels=8, name="l", dtype=dtype, random_branches=True)
+        layer.offset_branch.weight *= 30  # offsets of a few pixels
+        x = rng.standard_normal((2, 8, 3, 5, 6)).astype(dtype)
+        raw_off, off_ctx = conv3d_forward(x, layer.offset_branch)
+        logits, mask_ctx = conv3d_forward(x, layer.mask_branch)
+        masks = sigmoid(logits)
+        offsets, fused_masks = layer.predict_offsets_masks(x)
+        assert np.array_equal(offsets, raw_off) and np.array_equal(fused_masks, masks)
+
+        g = rng.standard_normal((2, 8, 3, 5, 6)).astype(dtype)
+        y = layer.forward(x, keep_state=True)
+        gx = layer.backward(g)
+        y_ref, ctx = ls3d_forward(x, layer.main, raw_off, masks)
+        assert np.array_equal(y, y_ref)
+        gx_ref, _, _, grad_off, grad_masks = ls3d_backward(ctx, g)
+        gx_off, gw_off, gb_off = conv3d_backward(off_ctx, grad_off)
+        gx_mask, gw_mask, gb_mask = conv3d_backward(mask_ctx, grad_masks * masks * (1 - masks))
+        for got, want in ((gx, gx_ref + gx_off + gx_mask),
+                          (layer.grads["l.offset.weight"], gw_off),
+                          (layer.grads["l.offset.bias"], gb_off),
+                          (layer.grads["l.mask.weight"], gw_mask),
+                          (layer.grads["l.mask.bias"], gb_mask)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
+
+    def test_branch_geometry_mismatch_rejected(self):
+        rng = np.random.default_rng(5)
+        layer = make_ls3d_layer(rng, channels=2, name="l")
+        mask = Conv3dParams(np.zeros((27, 2, 1, 1, 1), np.float32), np.zeros(27, np.float32))
+        with pytest.raises(ShapeError, match="share"):
+            Ls3dConv(layer.main, layer.offset_branch, mask)
+
+
+class TestSparseKernels:
+    """scipy's compiled sparse kernels are loaded from their file on the
+    first LS3D call, and a missing scipy fails loudly there."""
+
+    def _call(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((1, 1, 1, 3, 3))
+        offsets, masks = zero_off_unit_mask(x.shape, (3, 3, 3), x.dtype)
+        ls3d_forward(x, rand_main(rng, 1, 1), offsets, masks)
+
+    def test_missing_scipy_raises_import_error(self, monkeypatch):
+        monkeypatch.setattr(ls3d, "_SPARSETOOLS", None)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+        with pytest.raises(ImportError) as err:
+            self._call()
+        message = str(err.value)
+        assert "scipy" in message and f">= {ls3d.SCIPY_MIN}" in message
+        assert importlib.metadata.version("scipy") in message
+
+    def test_missing_kernels_file_raises_import_error(self, monkeypatch, tmp_path):
+        """A scipy package without scipy/sparse/_sparsetools."""
+        (tmp_path / "sparse").mkdir()
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(ls3d, "_SPARSETOOLS", None)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: spec)
+        with pytest.raises(ImportError, match="csr_matvecs"):
+            self._call()
+
+    def test_only_ls3d_nets_load_the_kernels(self):
+        """A plain net's training step leaves the kernel cache empty; an
+        LS3D net's fills it. Neither imports scipy.sparse."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys\n"
+            "from ls3dconv import ls3d, train\n"
+            "from ls3dconv.net import NetworkSpec, build_net\n"
+            "cfg = train.TrainConfig(epochs=1, batch_size=1, learning_rate=1e-3, seed=0,\n"
+            "                        task='interpolate', clips=1, eval_clips=1, size=16,\n"
+            "                        motion=2.0, eval_every=0)\n"
+            "for blocks in ((), (2,)):\n"
+            "    spec = NetworkSpec(channels=4, num_resblocks=2, ls3d_block_indices=blocks,\n"
+            "                       temporal_deconv_after={1, 2},\n"
+            "                       branch_kernel=1)\n"
+            "    train.train_loop(build_net(spec, seed=0), cfg)\n"
+            "    print(ls3d._SPARSETOOLS is not None, 'scipy.sparse' in sys.modules)\n")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["False False", "True False"]
 
 
 def _has_mallopt() -> bool:
