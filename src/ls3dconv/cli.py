@@ -244,7 +244,7 @@ def cmd_gradcheck(cfg: dict, out: Path) -> int:
 
     spec = NetworkSpec(channels=4, num_resblocks=2, ls3d_block_indices=frozenset({2}),
                        temporal_deconv_after=frozenset({1, 2}), task="interpolate",
-                       branch_kernel=1, dtype=np.float64)
+                       dtype=np.float64)
     net = build_net(spec, seed=seed)
     for p in net.parameters().values():
         if np.all(p == 0):

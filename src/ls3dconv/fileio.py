@@ -8,6 +8,7 @@ embedded config-echo blob; numeric tensors use tags 0/1.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -92,10 +93,13 @@ def load_named_tensors(path) -> dict[str, np.ndarray]:
         if tag not in _TAG_TO_DTYPE:
             raise CheckpointError(f"{path}: unknown dtype tag {tag} for tensor '{name}'")
         dtype = _TAG_TO_DTYPE[tag]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        body = take(nbytes, f"data of '{name}'")
+        # Python ints: a count of u32 dims in int64 can wrap past the check.
+        body = take(math.prod(dims) * dtype.itemsize, f"data of '{name}'")
         arr = np.frombuffer(body, dtype=dtype)
-        tensors[name] = arr.reshape(dims).copy() if ndim else arr.copy()
+        try:
+            tensors[name] = arr.reshape(dims).copy() if ndim else arr.copy()
+        except ValueError as exc:  # dims numpy cannot index, e.g. (2**32-1, 2**32-1, 0)
+            raise CheckpointError(f"{path}: tensor '{name}' has dims {dims} ({exc})") from exc
     if pos != len(view):
         raise CheckpointError(f"{path}: {len(view) - pos} trailing bytes after last tensor")
     return tensors

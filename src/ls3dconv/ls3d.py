@@ -327,34 +327,29 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
 # --- layer with offset/mask prediction branches -----------------------------
 
 class Ls3dConv:
-    """LS3D layer: main kernel plus offset and mask prediction convolutions.
+    """LS3D layer: main kernel plus one offset-and-mask prediction conv.
 
-    Both branches consume the layer input, so they run as one convolution
-    with their weights stacked, offset channels first, and its output and
-    gradient are split between them. Offsets come out of the offset
-    branch raw (plus an optional constant `offset_shift`, which the
-    gradient checker uses to stay off the bilinear kernel's integer
+    As in DCNv2, one convolution of the layer input predicts both fields:
+    `branches` emits 3*taps channels, the 2*taps offsets first, then the
+    taps mask logits. `offset_branch` and `mask_branch` are views of its
+    two halves, so a write to either reaches the weights the conv reads.
+    Offsets come out raw (plus an optional constant `offset_shift`, which
+    the gradient checker uses to stay off the bilinear kernel's integer
     kinks); masks are squashed through a sigmoid into [0, 1].
     """
 
-    def __init__(self, main: Conv3dParams, offset_branch: Conv3dParams,
-                 mask_branch: Conv3dParams, name: str = "ls3d",
+    def __init__(self, main: Conv3dParams, branches: Conv3dParams, name: str = "ls3d",
                  offset_shift: float = 0.0):
         taps = num_taps(main.kernel)
-        if offset_branch.out_channels != 2 * taps:
-            raise ShapeError(f"offset branch must emit {2 * taps} channels, "
-                             f"emits {offset_branch.out_channels}")
-        if mask_branch.out_channels != taps:
-            raise ShapeError(f"mask branch must emit {taps} channels, "
-                             f"emits {mask_branch.out_channels}")
-        geometry = [(b.kernel, tuple(b.stride), tuple(b.padding))
-                    for b in (offset_branch, mask_branch)]
-        if geometry[0] != geometry[1]:
-            raise ShapeError(f"offset and mask branches must share kernel, stride and "
-                             f"padding, got {geometry[0]} and {geometry[1]}")
+        if branches.out_channels != 3 * taps:
+            raise ShapeError(f"offset and mask branches must emit {3 * taps} channels, "
+                             f"emit {branches.out_channels}")
         self.main = main
-        self.offset_branch = offset_branch
-        self.mask_branch = mask_branch
+        self.branches = branches
+        self.offset_branch, self.mask_branch = (
+            Conv3dParams(branches.weight[half], branches.bias[half],
+                         stride=branches.stride, padding=branches.padding)
+            for half in (slice(None, 2 * taps), slice(2 * taps, None)))
         self.name = name
         self.offset_shift = offset_shift
         self.grads: dict[str, np.ndarray] = {}
@@ -371,17 +366,13 @@ class Ls3dConv:
         }
 
     def predict_offsets_masks(self, x: np.ndarray):
-        """Run the two branches; returns (offsets, masks) only."""
+        """Run the branch conv; returns (offsets, masks) only."""
         offsets, masks, _ = self._predict(x)
         return offsets, masks
 
     def _predict(self, x: np.ndarray):
-        off, msk = self.offset_branch, self.mask_branch
-        branches = Conv3dParams(np.concatenate([off.weight, msk.weight]),
-                                np.concatenate([off.bias, msk.bias]),
-                                stride=off.stride, padding=off.padding)
-        raw, branch_ctx = conv3d_forward(x, branches)
-        raw_off, logits = np.split(raw, [off.out_channels], axis=1)
+        raw, branch_ctx = conv3d_forward(x, self.branches)
+        raw_off, logits = np.split(raw, [self.offset_branch.out_channels], axis=1)
         if self.offset_shift:
             raw_off = raw_off + x.dtype.type(self.offset_shift)
         return raw_off, sigmoid(logits), branch_ctx
@@ -401,19 +392,20 @@ class Ls3dConv:
         core_ctx, branch_ctx = self._state
         masks = core_ctx[3]
         grad_x, grad_w, grad_b, grad_off, grad_masks = ls3d_backward(core_ctx, grad_y)
-        grad_logits = grad_masks * masks * (1 - masks)
-        gx_branch, gw_branch, gb_branch = conv3d_backward(
-            branch_ctx, np.concatenate([grad_off, grad_logits], axis=1))
-        split = [self.offset_branch.out_channels]
-        gw_off, gw_mask = np.split(gw_branch, split)
-        gb_off, gb_mask = np.split(gb_branch, split)
+        # Gradient of the branch conv's output: offsets, then logits through the sigmoid.
+        split = self.offset_branch.out_channels
+        grad_raw = np.empty((len(grad_off), self.branches.out_channels, *grad_off.shape[2:]),
+                            dtype=np.result_type(grad_off, grad_masks, masks))
+        grad_raw[:, :split] = grad_off
+        np.multiply(grad_masks * masks, 1 - masks, out=grad_raw[:, split:])
+        gx_branch, gw_branch, gb_branch = conv3d_backward(branch_ctx, grad_raw)
         self.grads = {
             f"{self.name}.weight": grad_w,
             f"{self.name}.bias": grad_b,
-            f"{self.name}.offset.weight": gw_off,
-            f"{self.name}.offset.bias": gb_off,
-            f"{self.name}.mask.weight": gw_mask,
-            f"{self.name}.mask.bias": gb_mask,
+            f"{self.name}.offset.weight": gw_branch[:split],
+            f"{self.name}.offset.bias": gb_branch[:split],
+            f"{self.name}.mask.weight": gw_branch[split:],
+            f"{self.name}.mask.bias": gb_branch[split:],
         }
         self._state = None
         return grad_x + gx_branch

@@ -118,7 +118,6 @@ class NetworkSpec:
     ls3d_block_indices: frozenset[int] = frozenset()
     temporal_deconv_after: frozenset[int] | None = None  # None: decided by the task
     task: str = "interpolate"
-    branch_kernel: int = 3
     dtype: type = np.float32
 
     def __post_init__(self):
@@ -141,8 +140,6 @@ class NetworkSpec:
         if self.task == "denoise" and self.temporal_deconv_after:
             raise ConfigError("denoise task must not use temporal deconvs "
                               "(temporal size is preserved)")
-        if self.branch_kernel not in (1, 3):
-            raise ConfigError(f"branch_kernel must be 1 or 3, got {self.branch_kernel}")
 
 
 def _conv(rng, c_in, c_out, kernel, stride, pad, dtype, transposed=False,
@@ -160,19 +157,16 @@ def _conv(rng, c_in, c_out, kernel, stride, pad, dtype, transposed=False,
                         transposed=transposed, output_padding=output_padding)
 
 
-def make_ls3d_layer(rng, channels: int, name: str, branch_kernel: int = 3,
-                    dtype=np.float32, random_branches: bool = False) -> Ls3dConv:
-    """One sampling conv with zero-initialized (or small random) branches."""
+def make_ls3d_layer(rng, channels: int, name: str, dtype=np.float32,
+                    random_branches: bool = False) -> Ls3dConv:
+    """One sampling conv with a zero-initialized (or small random) 3x3x3
+    branch conv: 2*taps offset channels, then taps mask logits."""
     main = _conv(rng, channels, channels, (3, 3, 3), (1, 1, 1), (1, 1, 1), dtype)
-    bk = (branch_kernel,) * 3
-    bp = (branch_kernel // 2,) * 3
-    taps = num_taps((3, 3, 3))
-    off = _conv(rng, channels, 2 * taps, bk, (1, 1, 1), bp, dtype, zero=not random_branches)
-    msk = _conv(rng, channels, taps, bk, (1, 1, 1), bp, dtype, zero=not random_branches)
+    branches = _conv(rng, channels, 3 * num_taps((3, 3, 3)), (3, 3, 3), (1, 1, 1), (1, 1, 1),
+                     dtype, zero=not random_branches)
     if random_branches:
-        off.weight *= 0.1
-        msk.weight *= 0.1
-    return Ls3dConv(main, off, msk, name=name)
+        branches.weight *= 0.1
+    return Ls3dConv(main, branches, name=name)
 
 
 class VINet:
@@ -256,7 +250,7 @@ def build_net(spec: NetworkSpec, seed: int) -> VINet:
     for i in range(1, spec.num_resblocks + 1):
         name = f"block{i}"
         if i in spec.ls3d_block_indices:
-            first = make_ls3d_layer(rng, c, f"{name}.conv1", spec.branch_kernel, dt)
+            first = make_ls3d_layer(rng, c, f"{name}.conv1", dt)
         else:
             first = Conv3dLayer(_conv(rng, c, c, (3, 3, 3), (1, 1, 1), (1, 1, 1), dt),
                                 f"{name}.conv1")

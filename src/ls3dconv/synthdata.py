@@ -55,9 +55,6 @@ class ClipSpec:
                                  f"H/num_frames = {bound:.3g}")
 
 
-_CH_PHASE = np.array([0.0, 2.094395102393195, 4.18879020478639])  # 2*pi/3 apart
-
-
 def _texture(obj: ObjectSpec, local_r: np.ndarray, local_c: np.ndarray,
              phases: np.ndarray) -> np.ndarray:
     """Per-channel texture value on object-local coordinates, in [0, 1]."""

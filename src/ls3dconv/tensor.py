@@ -15,13 +15,6 @@ DTYPES = (np.float32, np.float64)
 AXIS_NAMES = ("N", "C", "T", "H", "W")
 
 
-def tensor5(data, dtype=np.float32) -> np.ndarray:
-    """Build a validated 5-D tensor from array-like data."""
-    arr = np.ascontiguousarray(data, dtype=dtype)
-    check_tensor5(arr)
-    return arr
-
-
 def check_tensor5(x: np.ndarray, name: str = "tensor") -> None:
     """Raise ShapeError unless x is a non-empty (N, C, T, H, W) float array."""
     if not isinstance(x, np.ndarray) or x.ndim != 5:

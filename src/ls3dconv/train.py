@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError("epochs, batch_size, clips and eval_clips must be positive")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
+        if self.eval_every < 0:
+            raise ConfigError("eval_every must be >= 0 (0: no held-out evaluation)")
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from ls3dconv import cli
 from ls3dconv.cli import (ABLATION_VARIANTS, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           EXIT_SHAPE, load_config, main, map_in_workers)
 from ls3dconv.errors import ConfigError
+from ls3dconv.fileio import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 TINY = [
     "--set", "net.channels=4",
@@ -88,6 +90,15 @@ class TestConfig:
         code = main(["train", *TINY, "--set", "train.learning_rate=-1", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_negative_eval_every_exit_code(self, tmp_path, capsys):
+        """`epoch % -2 == 0` holds on even epochs, so a negative period
+        would evaluate instead of failing."""
+        out = tmp_path / "out"
+        code = main(["train", *TINY, "--set", "train.eval_every=-2", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "eval_every" in capsys.readouterr().err
+        assert not (out / "eval.csv").exists()
 
     @pytest.mark.parametrize("command, key", [
         ("train", "train.epochs"), ("train", "train.batch_size"), ("train", "train.clips"),
@@ -181,6 +192,15 @@ class TestEvalCommand:
         ckpt.write_bytes(bytes(data))
         assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_IO
         assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**32 - 1, 2**32 - 1, 0)],
+                             ids=["wraps_int64", "zero_sized"])
+    def test_dims_past_int64_is_checkpoint_error(self, tmp_path, capsys, dims):
+        ckpt = tmp_path / "checkpoint.ls3d"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIH", CHECKPOINT_VERSION, 1, 1) + b"a"
+                         + struct.pack(f"<B{len(dims)}IB", len(dims), *dims, 0))
+        assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_IO
+        assert str(ckpt) in capsys.readouterr().err
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         code = main(["eval", *TINY, "--out", str(tmp_path),

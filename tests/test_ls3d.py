@@ -421,6 +421,11 @@ class TestPredictBranches:
         layer = make_ls3d_layer(rng, channels=3, name="l")
         assert layer.offset_branch.out_channels == 54
         assert layer.mask_branch.out_channels == 27
+        assert layer.branches.out_channels == 81
+        short = Conv3dParams(np.zeros((54, 3, 3, 3, 3), np.float32), np.zeros(54, np.float32),
+                             padding=(1, 1, 1))
+        with pytest.raises(ShapeError, match="81 channels"):
+            Ls3dConv(layer.main, short)
 
     def test_layer_backward_without_forward_raises(self):
         rng = np.random.default_rng(3)
@@ -462,12 +467,23 @@ class TestPredictBranches:
             assert got.shape == want.shape and got.dtype == want.dtype
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
 
-    def test_branch_geometry_mismatch_rejected(self):
+    def test_branch_halves_share_the_branch_conv_memory(self):
+        """offset_branch and mask_branch are views of the one branch conv:
+        parameter names, checkpoints, Adam and gradcheck write through them
+        into the weights the conv reads."""
         rng = np.random.default_rng(5)
-        layer = make_ls3d_layer(rng, channels=2, name="l")
-        mask = Conv3dParams(np.zeros((27, 2, 1, 1, 1), np.float32), np.zeros(27, np.float32))
-        with pytest.raises(ShapeError, match="share"):
-            Ls3dConv(layer.main, layer.offset_branch, mask)
+        layer = make_ls3d_layer(rng, channels=2, name="l", dtype=np.float64)
+        params = layer.parameters()
+        assert np.shares_memory(params["l.offset.weight"], layer.branches.weight)
+        assert np.shares_memory(params["l.mask.bias"], layer.branches.bias)
+        x = rng.standard_normal((1, 2, 2, 4, 4))
+        layer.offset_branch.weight[3, 1, 1, 1, 1] = 0.5
+        layer.mask_branch.bias[7] = 2.0
+        offsets, masks = layer.predict_offsets_masks(x)
+        np.testing.assert_array_equal(offsets[:, 3], 0.5 * x[:, 1])
+        assert np.all(np.delete(offsets, 3, axis=1) == 0)
+        np.testing.assert_array_equal(masks[:, 7], sigmoid(np.full((1, 2, 4, 4), 2.0)))
+        assert np.all(np.delete(masks, 7, axis=1) == 0.5)
 
 
 class TestSparseKernels:
@@ -512,8 +528,7 @@ class TestSparseKernels:
             "                        motion=2.0, eval_every=0)\n"
             "for blocks in ((), (2,)):\n"
             "    spec = NetworkSpec(channels=4, num_resblocks=2, ls3d_block_indices=blocks,\n"
-            "                       temporal_deconv_after={1, 2},\n"
-            "                       branch_kernel=1)\n"
+            "                       temporal_deconv_after={1, 2})\n"
             "    train.train_loop(build_net(spec, seed=0), cfg)\n"
             "    print(ls3d._SPARSETOOLS is not None, 'scipy.sparse' in sys.modules)\n")
         env = {**os.environ,

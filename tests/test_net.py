@@ -184,7 +184,7 @@ class TestNetBackward:
         convention instead of the derivative.
         """
         spec = tiny_spec(temporal_deconv_after=frozenset({1, 2}),
-                         ls3d_block_indices=frozenset({2}), branch_kernel=1)
+                         ls3d_block_indices=frozenset({2}))
         net = build_net(spec, seed=0)
         rng = np.random.default_rng(4)
         for name, p in net.parameters().items():

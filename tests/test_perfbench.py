@@ -26,3 +26,8 @@ def test_traced_run_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
+    if workload == "train-ls3d":
+        # The branch conv is traced only while it runs through the patched
+        # ls3d.conv3d_forward/conv3d_backward: 537.48 MMAC per step at seed 1.
+        mmac = result["metrics"]["ls3d.branch_conv.mmac"]["value"]
+        assert mmac == pytest.approx(537.48, abs=0.01)

@@ -5,15 +5,10 @@ import pytest
 
 from ls3dconv.errors import ShapeError
 from ls3dconv.fileio import read_pgm, write_pgm
-from ls3dconv.tensor import (check_same_shape, check_tensor5, relu_backward, sigmoid,
-                             tensor5)
+from ls3dconv.tensor import check_same_shape, check_tensor5, relu_backward, sigmoid
 
 
 class TestTensor5:
-    def test_construct_and_validate(self):
-        x = tensor5(np.zeros((1, 2, 3, 4, 5)))
-        assert x.shape == (1, 2, 3, 4, 5) and x.dtype == np.float32
-
     def test_empty_dimension_rejected(self):
         with pytest.raises(ShapeError, match="T"):
             check_tensor5(np.zeros((1, 1, 0, 2, 2), dtype=np.float32))

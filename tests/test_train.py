@@ -1,11 +1,14 @@
 """Optimizer behavior, loop determinism, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from ls3dconv import train
 from ls3dconv.errors import CheckpointError, ConfigError, NumericError, ShapeError
-from ls3dconv.fileio import load_named_tensors, save_named_tensors
+from ls3dconv.fileio import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_named_tensors,
+                             save_named_tensors)
 from ls3dconv.net import NetworkSpec, build_net
 from ls3dconv.train import (AdamState, TrainConfig, adam_step, clip_grad_norm,
                             load_checkpoint, save_checkpoint, train_loop,
@@ -23,7 +26,7 @@ def small_interp_config(**kw):
 def small_net(task="interpolate", seed=0, **kw):
     td = frozenset() if task == "denoise" else frozenset({1, 2})
     spec = NetworkSpec(channels=4, num_resblocks=2, ls3d_block_indices=frozenset({2}),
-                       temporal_deconv_after=td, task=task, branch_kernel=1, **kw)
+                       temporal_deconv_after=td, task=task, **kw)
     return build_net(spec, seed=seed)
 
 
@@ -214,8 +217,19 @@ class TestCheckpoint:
         path = tmp_path / "ck.ls3d"
         save_checkpoint(path, net)
         other_spec = NetworkSpec(channels=8, num_resblocks=2,
-                                 temporal_deconv_after=frozenset({1, 2}),
-                                 branch_kernel=1)
+                                 temporal_deconv_after=frozenset({1, 2}))
         other = build_net(other_spec, seed=0)
         with pytest.raises(CheckpointError, match="shape"):
             load_checkpoint(path, other)
+
+    @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**32 - 1, 2**32 - 1, 0)],
+                             ids=["wraps_int64", "zero_sized"])
+    def test_dims_past_int64_rejected(self, tmp_path, dims):
+        """A header whose element count overflows int64 is a bad checkpoint,
+        not a crash: (2**32-1)**2 wraps negative, and with a 0 dim it has
+        no data but a shape numpy cannot index."""
+        path = tmp_path / "ck.ls3d"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIH", CHECKPOINT_VERSION, 1, 1) + b"a"
+                         + struct.pack(f"<B{len(dims)}IB", len(dims), *dims, 0))
+        with pytest.raises(CheckpointError, match="truncated" if all(dims) else "dims"):
+            load_checkpoint(path, small_net(seed=8))
