@@ -30,7 +30,7 @@ from .ls3d import Ls3dConv, ls3d_backward, ls3d_forward, num_taps
 from .net import Conv3dLayer, NetworkSpec, ResBlock, build_net, make_ls3d_layer
 from .train import (TrainConfig, evaluate, heldout_set, load_checkpoint, make_dataset,
                     mean_quality, save_checkpoint, train_loop, write_loss_csv)
-from .metrics import write_eval_csv
+from .metrics import SSIM_WINDOW, write_eval_csv
 from .viz import emit_map_image, sampling_map
 
 EXIT_OK = 0
@@ -126,6 +126,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if cfg["net.task"] == "interpolate" and cfg[key] != used:
             raise ConfigError(f"{key} = {cfg[key]} has no effect on net.task = interpolate, "
                               "which always uses clean 5-frame clips")
+    if cfg["data.size"] < SSIM_WINDOW:
+        raise ConfigError(f"data.size = {cfg['data.size']} is below {SSIM_WINDOW}, the "
+                          "side of the SSIM window every evaluation scores with")
     if cfg["net.task"] == "denoise" and cfg["data.noise_sigma"] <= 0:
         raise ConfigError("net.task = denoise needs data.noise_sigma > 0: on clean clips "
                           "the identity is the best denoiser")
@@ -436,6 +439,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.overrides)
         if args.seed is not None:
             cfg["train.seed"] = args.seed
+        # Every NetworkSpec and TrainConfig rule, checked before any file is written.
+        network_spec(cfg)
+        train_config(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         echo_config(cfg)

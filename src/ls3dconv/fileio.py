@@ -1,34 +1,31 @@
-"""Binary file formats: checkpoints and PGM images.
+"""File formats: checkpoints and PGM images.
 
-Checkpoint ("LS3D"): magic, u32 version (currently 1), u32 tensor count,
-then per tensor: u16 name length, name bytes (utf-8), u8 ndim, ndim u32
-dims, u8 dtype tag, raw little-endian data. Tag 2 = uint8 is used for the
-embedded config-echo blob; numeric tensors use tags 0/1.
+A checkpoint is an uncompressed numpy archive (`np.savez`): a zip file
+with one `<name>.npy` member per tensor. Zip's CRC-32 covers every
+member, and `ZipFile.open(name, "w")` stamps every member 1980-01-01, so
+the same tensors always give the same bytes.
 """
 
 from __future__ import annotations
 
-import math
 import os
-import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError
 
-CHECKPOINT_MAGIC = b"LS3D"
-CHECKPOINT_VERSION = 1
+# Every zip archive np.savez writes starts with a local file header.
+_ZIP_MAGIC = b"PK\x03\x04"
 
-_TAG_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("u1")}
-_DTYPE_TO_TAG = {np.float32: 0, np.float64: 1, np.uint8: 2}
-
-
-def _dtype_tag(arr: np.ndarray) -> int:
-    tag = _DTYPE_TO_TAG.get(arr.dtype.type)
-    if tag is None:
-        raise CheckpointError(f"unsupported dtype {arr.dtype} for binary serialization")
-    return tag
+# What numpy and zipfile raise on a damaged archive or a crafted npy header:
+# a bad zip structure or CRC (BadZipFile), a header numpy cannot parse or
+# size (ValueError, MemoryError), a flag or compression method zipfile does
+# not support (RuntimeError, NotImplementedError), a member that ends early
+# (EOFError), and a member offset before the start of the file (OSError).
+_DAMAGED = (zipfile.BadZipFile, ValueError, MemoryError, RuntimeError,
+            NotImplementedError, EOFError, OSError)
 
 
 # --- checkpoint ----------------------------------------------------------
@@ -44,17 +41,7 @@ def save_named_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<II", CHECKPOINT_VERSION, len(tensors)))
-            for name, arr in tensors.items():
-                raw = name.encode("utf-8")
-                tag = _dtype_tag(arr)
-                f.write(struct.pack("<H", len(raw)))
-                f.write(raw)
-                f.write(struct.pack("<B", arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(struct.pack("<B", tag))
-                f.write(np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[tag]).tobytes())
+            np.savez(f, allow_pickle=False, **tensors)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -62,46 +49,30 @@ def save_named_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_named_tensors(path) -> dict[str, np.ndarray]:
-    data = Path(path).read_bytes()
-    view = memoryview(data)
-    pos = 0
-
-    def take(n: int, what: str) -> memoryview:
-        nonlocal pos
-        if pos + n > len(view):
-            raise CheckpointError(f"{path}: truncated checkpoint while reading {what}")
-        chunk = view[pos:pos + n]
-        pos += n
-        return chunk
-
-    if bytes(take(4, "magic")) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad checkpoint magic")
-    version, count = struct.unpack("<II", take(8, "header"))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: incompatible checkpoint version {version}, "
-                              f"expected {CHECKPOINT_VERSION}")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
+    """Read every tensor of a checkpoint; a damaged or foreign file raises
+    CheckpointError naming `path`."""
+    with open(path, "rb") as f:
+        # np.load reads a .npy file whole and meets any other file with
+        # advice to unpickle it; a checkpoint is always a zip archive.
+        if f.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            raise CheckpointError(f"{path}: not a numpy .npz archive")
+        f.seek(0)
         try:
-            name = bytes(take(name_len, "name")).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: tensor name is not UTF-8 ({exc})") from exc
-        (ndim,) = struct.unpack("<B", take(1, "ndim"))
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
-        (tag,) = struct.unpack("<B", take(1, "dtype tag"))
-        if tag not in _TAG_TO_DTYPE:
-            raise CheckpointError(f"{path}: unknown dtype tag {tag} for tensor '{name}'")
-        dtype = _TAG_TO_DTYPE[tag]
-        # Python ints: a count of u32 dims in int64 can wrap past the check.
-        body = take(math.prod(dims) * dtype.itemsize, f"data of '{name}'")
-        arr = np.frombuffer(body, dtype=dtype)
-        try:
-            tensors[name] = arr.reshape(dims).copy() if ndim else arr.copy()
-        except ValueError as exc:  # dims numpy cannot index, e.g. (2**32-1, 2**32-1, 0)
-            raise CheckpointError(f"{path}: tensor '{name}' has dims {dims} ({exc})") from exc
-    if pos != len(view):
-        raise CheckpointError(f"{path}: {len(view) - pos} trailing bytes after last tensor")
+            with np.load(f, allow_pickle=False) as archive:
+                # zipfile checks a member's CRC-32 only when a read reaches
+                # the member's end, and a member whose npy header declares
+                # fewer bytes than it holds is never read that far.
+                bad = archive.zip.testzip()
+                if bad is not None:
+                    raise CheckpointError(f"{path}: member '{bad}' is damaged "
+                                          "(CRC-32 or header mismatch)")
+                tensors = {name: archive[name] for name in archive.files}
+        except _DAMAGED as exc:
+            raise CheckpointError(f"{path}: not a readable checkpoint "
+                                  f"({type(exc).__name__}: {exc})") from exc
+    for name, arr in tensors.items():
+        if not isinstance(arr, np.ndarray):
+            raise CheckpointError(f"{path}: member '{name}' is not a .npy array")
     return tensors
 
 

@@ -24,7 +24,11 @@ _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
 
 
-def _gauss_1d(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+# Side of SSIM's square Gaussian window: frames must be at least this large.
+SSIM_WINDOW = 11
+
+
+def _gauss_1d(size: int = SSIM_WINDOW, sigma: float = 1.5) -> np.ndarray:
     ax = np.arange(size, dtype=np.float64) - (size - 1) / 2
     g = np.exp(-0.5 * (ax / sigma) ** 2)
     return g / g.sum()
@@ -70,8 +74,8 @@ def ssim_frames(a: np.ndarray, b: np.ndarray) -> list[float]:
     """Per-frame grayscale SSIM over all (n, t) slices."""
     check_same_shape(a, b, "ssim")
     h, w = a.shape[3:]
-    if h < 11 or w < 11:
-        raise ShapeError(f"ssim needs H, W >= 11, got H={h}, W={w}")
+    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+        raise ShapeError(f"ssim needs H, W >= {SSIM_WINDOW}, got H={h}, W={w}")
     x, y = _to_luma(a), _to_luma(b)                                 # (N, T, H, W)
     mu_x, mu_y = _blur(x), _blur(y)
     var_x = _blur(x * x) - mu_x ** 2

@@ -9,9 +9,9 @@ between the threads, so every sum still runs in one fixed order. The LS3D
 sampling kernels (scipy's `csr_matvecs` and `csc_matvecs`) are
 single-threaded and sum in a fixed order: row by row, and each row's
 corners in turn. A test compares loss.csv under one and two threads. Nor
-does it depend on the
-allocator setting made at import (`ls3dconv._keep_freed_pages`), which
-only decides whether freed memory goes back to the kernel.
+does it depend on the allocator setting made at import
+(`ls3dconv._keep_freed_pages`), which only decides whether freed memory
+goes back to the kernel.
 """
 
 from __future__ import annotations
@@ -245,30 +245,42 @@ def save_checkpoint(path, net: VINet, state: AdamState | None = None,
 
 
 def load_checkpoint(path, net: VINet) -> tuple[AdamState | None, str]:
-    """Restore parameters (bit-identical) into net; returns (adam state, config echo)."""
+    """Restore parameters (bit-identical) into net; returns (adam state, config echo).
+
+    The checkpoint must hold exactly the net's parameters and the config
+    echo, plus, if it holds `step`, an Adam moment pair for every
+    parameter. Everything is checked before the net is touched, so a
+    failed load leaves no partially restored parameter set behind.
+    """
     tensors = load_named_tensors(path)
     params = net.parameters()
-    # Validate everything before touching the net: a failed load must not
-    # leave a partially restored parameter set behind.
-    try:
-        echo = tensors.get("config", np.zeros(0, dtype=np.uint8)).tobytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: config echo is not UTF-8 ({exc})") from exc
-    for name, p in params.items():
-        key = f"param/{name}"
+    # Name -> an array of the shape and dtype that tensor must have.
+    expected = {f"param/{n}": p for n, p in params.items()}
+    if "step" in tensors:
+        expected.update({f"adam.{mv}/{n}": p for mv in "mv" for n, p in params.items()})
+        expected["step"] = np.zeros(1)
+    for key in [*expected, "config"]:
         if key not in tensors:
             raise CheckpointError(f"{path}: missing tensor '{key}'")
-        if tensors[key].shape != p.shape:
-            raise CheckpointError(f"{path}: tensor '{key}' has shape "
-                                  f"{tensors[key].shape}, net expects {p.shape}")
-    for name, p in params.items():
-        p[...] = tensors[f"param/{name}"].astype(p.dtype)
+    for key, like in expected.items():
+        t = tensors[key]
+        if (t.shape, t.dtype) != (like.shape, like.dtype):
+            raise CheckpointError(f"{path}: tensor '{key}' has shape {t.shape} and dtype "
+                                  f"{t.dtype}, net expects {like.shape} and {like.dtype}")
+    extra = [k for k in tensors if k not in expected and k != "config"]
+    if extra:
+        raise CheckpointError(f"{path}: {len(extra)} unexpected tensor(s), first "
+                              f"'{extra[0]}': not a parameter of this net, or Adam "
+                              "moments without 'step'")
+    try:
+        echo = tensors["config"].tobytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: config echo is not UTF-8 ({exc})") from exc
     state = None
     if "step" in tensors:
-        state = AdamState(
-            m={n: tensors[f"adam.m/{n}"].astype(p.dtype)
-               for n, p in params.items() if f"adam.m/{n}" in tensors},
-            v={n: tensors[f"adam.v/{n}"].astype(p.dtype)
-               for n, p in params.items() if f"adam.v/{n}" in tensors},
-            step=int(tensors["step"][0]))
+        state = AdamState(m={n: tensors[f"adam.m/{n}"] for n in params},
+                          v={n: tensors[f"adam.v/{n}"] for n in params},
+                          step=int(tensors["step"][0]))
+    for name, p in params.items():
+        p[...] = tensors[f"param/{name}"]
     return state, echo

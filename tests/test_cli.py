@@ -1,19 +1,21 @@
 """Command-line surface: config handling, exit codes, artifacts."""
 
 import csv
+import io
 import os
-import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ls3dconv import cli
 from ls3dconv.cli import (ABLATION_VARIANTS, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           EXIT_SHAPE, load_config, main, map_in_workers)
 from ls3dconv.errors import ConfigError
-from ls3dconv.fileio import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from ls3dconv.fileio import load_named_tensors, save_named_tensors
 
 TINY = [
     "--set", "net.channels=4",
@@ -111,6 +113,31 @@ class TestConfig:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("item", ["train.learning_rate=-1", "train.eval_every=-2",
+                                      "net.ls3d_blocks=7", "net.channels=0", "net.task=foo"])
+    def test_spec_rule_rejected_before_any_work(self, tmp_path, capsys, item):
+        """NetworkSpec and TrainConfig rules are checked before the output
+        directory is made."""
+        out = tmp_path / "out"
+        code = main(["train", *TINY, "--set", item, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [8, 10])
+    def test_size_below_ssim_window_rejected(self, tmp_path, capsys, size):
+        """SSIM's window is 11 pixels wide: a smaller clip would train to the
+        end and only then fail to score."""
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="data.size"):
+            load_config(None, [f"data.size={size}"])
+        code = main(["train", *TINY, "--set", f"data.size={size}", "--set", "data.motion=1",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "data.size" in capsys.readouterr().err
+        assert not out.exists()
+        assert load_config(None, ["data.size=11"])["data.size"] == 11
+
     def test_every_key_is_read(self, tmp_path):
         """No key is accepted but never used: some command reads each one."""
         read = set()
@@ -182,25 +209,50 @@ class TestEvalCommand:
         assert code == EXIT_OK
         assert (trained / "eval.csv").read_bytes() == (evaluated / "eval.csv").read_bytes()
 
-    @pytest.mark.parametrize("needle", [b"param/enc1.weight", b"net.channels = 4"],
-                             ids=["tensor_name", "config_echo"])
-    def test_non_utf8_byte_is_checkpoint_error(self, tmp_path, capsys, needle):
+    @pytest.mark.parametrize("where", ["tensor_name", "config_echo"])
+    def test_non_utf8_byte_is_checkpoint_error(self, tmp_path, capsys, where):
+        """A 0xFF byte in a tensor name inside the file makes the zip's local
+        and central names differ; one in the config echo, written as a
+        sound archive, fails the echo's UTF-8 check."""
         assert main(["train", *TINY, "--out", str(tmp_path)]) == EXIT_OK
         ckpt = tmp_path / "checkpoint.ls3d"
-        data = bytearray(ckpt.read_bytes())
-        data[data.index(needle)] = 0xFF
-        ckpt.write_bytes(bytes(data))
+        if where == "tensor_name":
+            data = bytearray(ckpt.read_bytes())
+            data[data.index(b"param/enc1.weight")] = 0xFF
+            ckpt.write_bytes(bytes(data))
+            expected = str(ckpt)
+        else:
+            tensors = load_named_tensors(ckpt)
+            tensors["config"][tensors["config"].tobytes().index(b"net.channels = 4")] = 0xFF
+            save_named_tensors(ckpt, tensors)
+            expected = "not UTF-8"
         assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_IO
-        assert "not UTF-8" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**32 - 1, 2**32 - 1, 0)],
                              ids=["wraps_int64", "zero_sized"])
     def test_dims_past_int64_is_checkpoint_error(self, tmp_path, capsys, dims):
         ckpt = tmp_path / "checkpoint.ls3d"
-        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIH", CHECKPOINT_VERSION, 1, 1) + b"a"
-                         + struct.pack(f"<B{len(dims)}IB", len(dims), *dims, 0))
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f4", "fortran_order": False, "shape": dims})
+        with zipfile.ZipFile(ckpt, "w") as archive:
+            archive.writestr("a.npy", header.getvalue())
         assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_IO
         assert str(ckpt) in capsys.readouterr().err
+
+    def test_checkpoint_of_another_net_is_checkpoint_error(self, tmp_path, capsys):
+        """An all-LS3D run's checkpoint holds 24 offset and mask tensors a
+        plain net does not have; eval must not score the plain net with the
+        rest."""
+        trained, evaluated = tmp_path / "train", tmp_path / "eval"
+        assert main(["train", *TINY, "--set", "net.ls3d_blocks=all",
+                     "--out", str(trained)]) == EXIT_OK
+        code = main(["eval", *TINY, "--out", str(evaluated),
+                     "--set", f"eval.checkpoint={trained / 'checkpoint.ls3d'}"])
+        assert code == EXIT_IO
+        assert ".offset.weight" in capsys.readouterr().err
+        assert not (evaluated / "eval.csv").exists()
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         code = main(["eval", *TINY, "--out", str(tmp_path),

@@ -1,15 +1,17 @@
 """Optimizer behavior, loop determinism, checkpoints."""
 
+import io
 import struct
+import zipfile
 
 import numpy as np
 import pytest
 
 from ls3dconv import train
+from ls3dconv.conv3d import Conv3dParams
 from ls3dconv.errors import CheckpointError, ConfigError, NumericError, ShapeError
-from ls3dconv.fileio import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_named_tensors,
-                             save_named_tensors)
-from ls3dconv.net import NetworkSpec, build_net
+from ls3dconv.fileio import load_named_tensors, save_named_tensors
+from ls3dconv.net import Conv3dLayer, NetworkSpec, build_net
 from ls3dconv.train import (AdamState, TrainConfig, adam_step, clip_grad_norm,
                             load_checkpoint, save_checkpoint, train_loop,
                             write_loss_csv)
@@ -159,6 +161,32 @@ class TestTrainLoop:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def write_npy_header_archive(path, dims):
+    """A .npz archive whose one member is an npy header declaring float32
+    `dims`, with no data after it."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f4", "fortran_order": False, "shape": dims})
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("a.npy", header.getvalue())
+
+
+def one_conv_layer(seed):
+    rng = np.random.default_rng(seed)
+    return Conv3dLayer(Conv3dParams(rng.standard_normal((2, 2, 1, 1, 1)).astype(np.float32),
+                                    rng.standard_normal(2).astype(np.float32)), "conv")
+
+
+def snapshot(net):
+    return {k: v.copy() for k, v in net.parameters().items()}
+
+
+def assert_params_equal(net, params):
+    for k, v in net.parameters().items():
+        assert v.dtype == params[k].dtype
+        np.testing.assert_array_equal(v, params[k])
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_identical(self, tmp_path):
         net = small_net(seed=3)
@@ -168,12 +196,69 @@ class TestCheckpoint:
         save_checkpoint(path, net, result.adam_state, config_echo="k = v")
         net2 = small_net(seed=99)
         state, echo = load_checkpoint(path, net2)
-        for k, v in net.parameters().items():
-            np.testing.assert_array_equal(v, net2.parameters()[k])
+        assert_params_equal(net2, net.parameters())
         assert echo == "k = v"
         assert state.step == result.adam_state.step
+        for saved, loaded in ((result.adam_state.m, state.m), (result.adam_state.v, state.v)):
+            assert saved.keys() == loaded.keys()
+            for k in saved:
+                assert loaded[k].dtype == saved[k].dtype
+                np.testing.assert_array_equal(loaded[k], saved[k])
         x = np.random.default_rng(0).standard_normal((1, 3, 2, 16, 16)).astype(np.float32)
         np.testing.assert_array_equal(net.forward(x), net2.forward(x))
+
+    def test_save_is_deterministic(self, tmp_path):
+        """Every zip member is stamped 1980-01-01, so the same net and state
+        write the same bytes whenever they are saved."""
+        net = one_conv_layer(0)
+        state = AdamState.init(net.parameters())
+        state.step = 3
+        a, b = tmp_path / "a.ls3d", tmp_path / "b.ls3d"
+        save_checkpoint(a, net, state, config_echo="k = v")
+        save_checkpoint(b, net, state, config_echo="k = v")
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_zero_d_tensor_round_trips(self, tmp_path):
+        path = tmp_path / "ck.ls3d"
+        save_named_tensors(path, {"s": np.array(2.5, dtype=np.float32)})
+        loaded = load_named_tensors(path)["s"]
+        assert loaded.shape == () and loaded.dtype == np.float32 and loaded == 2.5
+
+    def test_bit_flips_never_load_silently(self, tmp_path):
+        """Flip one bit of every byte in turn (bit i % 8 of byte i). Each
+        damaged file either fails to load, leaving the net untouched, or
+        restores exactly what was saved: zip's CRC-32 covers every member."""
+        net = one_conv_layer(0)
+        state = AdamState.init(net.parameters())
+        state.step = 3
+        for moments in (state.m, state.v):
+            for m in moments.values():
+                m += 0.5
+        path = tmp_path / "ck.ls3d"
+        save_checkpoint(path, net, state, config_echo="k = v")
+        good = path.read_bytes()
+        saved = snapshot(net)
+        fresh = one_conv_layer(1)
+        before = snapshot(fresh)
+        loaded = 0
+        for i in range(len(good)):
+            damaged = bytearray(good)
+            damaged[i] ^= 1 << (i % 8)
+            path.write_bytes(bytes(damaged))
+            try:
+                got_state, echo = load_checkpoint(path, fresh)
+            except CheckpointError:
+                assert_params_equal(fresh, before)
+                continue
+            loaded += 1
+            assert_params_equal(fresh, saved)
+            assert echo == "k = v" and got_state.step == 3
+            for k in saved:
+                np.testing.assert_array_equal(got_state.m[k], state.m[k])
+                np.testing.assert_array_equal(got_state.v[k], state.v[k])
+            for k, v in fresh.parameters().items():
+                v[...] = before[k]
+        assert loaded  # zipfile reads no member's timestamp, so those flips load
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         """A write that fails part-way leaves the old checkpoint loadable and
@@ -181,9 +266,9 @@ class TestCheckpoint:
         path = tmp_path / "ck.ls3d"
         save_named_tensors(path, {"a": np.arange(3, dtype=np.float32)})
         before = path.read_bytes()
-        with pytest.raises(CheckpointError, match="int64"):
+        with pytest.raises(ValueError, match="allow_pickle"):
             save_named_tensors(path, {"a": np.ones(4, dtype=np.float32),
-                                      "b": np.arange(2, dtype=np.int64)})
+                                      "b": np.array([None, 1], dtype=object)})
         assert path.read_bytes() == before
         np.testing.assert_array_equal(load_named_tensors(path)["a"], np.arange(3))
         assert [p.name for p in tmp_path.iterdir()] == ["ck.ls3d"]
@@ -195,22 +280,23 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         fresh = small_net(seed=5)
-        before = {k: v.copy() for k, v in fresh.parameters().items()}
-        with pytest.raises(CheckpointError, match="truncated"):
+        before = snapshot(fresh)
+        with pytest.raises(CheckpointError, match="not a readable checkpoint"):
             load_checkpoint(path, fresh)
         # no partial restore
-        for k, v in fresh.parameters().items():
-            np.testing.assert_array_equal(v, before[k])
+        assert_params_equal(fresh, before)
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        net = small_net(seed=6)
+    def test_old_format_file_rejected(self, tmp_path):
+        """A file in the earlier hand-written format ("LS3D" magic, version
+        1, one float32 tensor) is not a checkpoint any more."""
         path = tmp_path / "ck.ls3d"
-        save_checkpoint(path, net)
-        raw = bytearray(path.read_bytes())
-        raw[4] = 9  # bump the little-endian version field
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path, small_net(seed=6))
+        path.write_bytes(b"LS3D" + struct.pack("<IIH", 1, 1, 1) + b"a"
+                         + struct.pack("<BIB", 1, 3, 0) + np.ones(3, "<f4").tobytes())
+        fresh = small_net(seed=6)
+        before = snapshot(fresh)
+        with pytest.raises(CheckpointError, match=str(path)):
+            load_checkpoint(path, fresh)
+        assert_params_equal(fresh, before)
 
     def test_shape_mismatch_between_net_and_file(self, tmp_path):
         net = small_net(seed=7)
@@ -222,14 +308,36 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="shape"):
             load_checkpoint(path, other)
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda t: t.update({"param/extra.weight": np.zeros(2, np.float32)}),
+         "param/extra.weight"),
+        (lambda t: t.pop("adam.v/conv.bias"), "adam.v/conv.bias"),
+        (lambda t: t.pop("step"), "adam.m/conv.weight"),
+        (lambda t: t.pop("config"), "config"),
+    ], ids=["extra_param", "step_without_moments", "moments_without_step", "no_config"])
+    def test_names_must_match_exactly(self, tmp_path, edit, named):
+        """The checkpoint holds the net's parameters, the config echo and,
+        with `step`, both Adam moments of every parameter: nothing more or
+        less. A mismatch is rejected before the net is touched."""
+        net = one_conv_layer(0)
+        path = tmp_path / "ck.ls3d"
+        save_checkpoint(path, net, AdamState.init(net.parameters()))
+        tensors = load_named_tensors(path)
+        edit(tensors)
+        save_named_tensors(path, tensors)
+        fresh = one_conv_layer(1)
+        before = snapshot(fresh)
+        with pytest.raises(CheckpointError, match=named):
+            load_checkpoint(path, fresh)
+        assert_params_equal(fresh, before)
+
     @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**32 - 1, 2**32 - 1, 0)],
                              ids=["wraps_int64", "zero_sized"])
     def test_dims_past_int64_rejected(self, tmp_path, dims):
-        """A header whose element count overflows int64 is a bad checkpoint,
-        not a crash: (2**32-1)**2 wraps negative, and with a 0 dim it has
-        no data but a shape numpy cannot index."""
+        """An npy header whose element count overflows int64 is a bad
+        checkpoint, not a crash: (2**32-1)**2 wraps negative, and with a 0
+        dim it has no data but a shape numpy cannot index."""
         path = tmp_path / "ck.ls3d"
-        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIH", CHECKPOINT_VERSION, 1, 1) + b"a"
-                         + struct.pack(f"<B{len(dims)}IB", len(dims), *dims, 0))
-        with pytest.raises(CheckpointError, match="truncated" if all(dims) else "dims"):
+        write_npy_header_archive(path, dims)
+        with pytest.raises(CheckpointError, match="ValueError"):
             load_checkpoint(path, small_net(seed=8))
