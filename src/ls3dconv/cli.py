@@ -329,8 +329,9 @@ def cmd_ablate(cfg: dict, out: Path, threads: int) -> int:
     return EXIT_OK
 
 
-def cmd_viz(cfg: dict, out: Path) -> int:
-    spec = network_spec(cfg)
+def viz_coord(cfg: dict) -> tuple[int, int, int]:
+    """The output point (frame, row, col) that `viz` maps; ConfigError if
+    it is outside the output grid."""
     tcfg = train_config(cfg)
     # Both nets emit num_frames frames (5 for interpolation) at data.size.
     grid = (tcfg.num_frames, tcfg.size, tcfg.size)
@@ -341,12 +342,19 @@ def cmd_viz(cfg: dict, out: Path) -> int:
             raise ConfigError(f"{key} = {cfg[key]} is outside the output grid {grid} "
                               "(-1: the middle)")
         coord.append(value)
+    return tuple(coord)
+
+
+def cmd_viz(cfg: dict, out: Path) -> int:
+    spec = network_spec(cfg)
+    tcfg = train_config(cfg)
+    coord = viz_coord(cfg)
     net = build_net(spec, seed=tcfg.seed)
     if cfg["viz.checkpoint"]:
         load_checkpoint(cfg["viz.checkpoint"], net)
         print(f"loaded {cfg['viz.checkpoint']}")
     sample = make_dataset(tcfg, 1, seed_base=700_007)[0]
-    smap = sampling_map(net, sample.inputs.astype(np.float64), tuple(coord))
+    smap = sampling_map(net, sample.inputs.astype(np.float64), coord)
     if smap.all_zero:
         print("warning: sampling map is all zero (disconnected output)")
     for path in emit_map_image(smap, out):
@@ -442,6 +450,8 @@ def main(argv=None) -> int:
         # Every NetworkSpec and TrainConfig rule, checked before any file is written.
         network_spec(cfg)
         train_config(cfg)
+        if args.command == "viz":
+            viz_coord(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         echo_config(cfg)

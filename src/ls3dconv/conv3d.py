@@ -19,8 +19,17 @@ input gradient and the transposed forward are the same adjoint. At
 stride 1 that adjoint is the same gather, over the other tensor padded
 by K-1-p, with the kernel flipped and its channel axes swapped. At a
 larger stride (the encoder's input gradients, the decoder's and the
-temporal deconvs' forwards) it stays an overlap-add: one GEMM, then one
-strided ``+=`` per tap, channels first so that each reads runs of W values.
+temporal deconvs' forwards) it is an overlap-add: one GEMM forms every
+(input point, tap) product, channels last, and one call of scipy's
+compiled CSR kernel `csr_matvecs` sums onto each output point the
+products that land there, in ascending tap order. The CSR index arrays
+depend only on the geometry and are built once per geometry.
+
+The kernel comes from scipy's `scipy/sparse/_sparsetools` extension,
+loaded from its file at the first call that needs it (a stride > 1
+adjoint, or any LS3D call) and cached in this module: importing
+`scipy.sparse` itself would load all of scipy.sparse for the two
+functions used, `csr_matvecs` here and `csc_matvecs` in LS3D.
 
 Convolution means cross-correlation (no kernel flip) with zero padding.
 Weight layout is (C_out, C_in, K_t, K_h, K_w) for forward convolutions.
@@ -31,6 +40,10 @@ the two ops are adjoint: <conv(x), y> == <x, conv_transpose(y)>.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +53,45 @@ from .errors import ShapeError
 from .tensor import check_tensor5
 
 Triple = tuple[int, int, int]
+
+# The oldest scipy whose sparse kernels this module was tested with.
+SCIPY_MIN = "1.17.1"
+
+# scipy's compiled sparse kernels, once loaded by `_sparsetools`.
+_SPARSETOOLS = None
+
+
+def _sparsetools():
+    """scipy's `_sparsetools` extension module, loaded from its file alone
+    on first use (no `import scipy.sparse`) and cached.
+
+    Raises ImportError naming the scipy found when it or its kernels are
+    missing.
+    """
+    global _SPARSETOOLS
+    if _SPARSETOOLS is None:
+        spec = importlib.util.find_spec("scipy")
+        folders = (spec.submodule_search_locations or []) if spec else []
+        paths = [os.path.join(folder, "sparse", "_sparsetools" + suffix)
+                 for folder in folders for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        found = next((path for path in paths if os.path.isfile(path)), None)
+        module = None
+        if found is not None:
+            file_spec = importlib.util.spec_from_file_location("scipy.sparse._sparsetools", found)
+            module = importlib.util.module_from_spec(file_spec)
+            file_spec.loader.exec_module(module)
+        if not all(hasattr(module, fn) for fn in ("csr_matvecs", "csc_matvecs")):
+            # Imported here only: it pulls in 1.7 MB of modules.
+            from importlib import metadata
+            try:
+                version = metadata.version("scipy")
+            except metadata.PackageNotFoundError:
+                version = "none"
+            raise ImportError(f"ls3dconv needs scipy >= {SCIPY_MIN} for its compiled sparse "
+                              f"kernels (scipy/sparse/_sparsetools with csr_matvecs and "
+                              f"csc_matvecs); found scipy {version}")
+        _SPARSETOOLS = module
+    return _SPARSETOOLS
 
 
 @dataclass
@@ -235,6 +287,39 @@ def _columns(xp: np.ndarray, kernel: Triple, stride: Triple, out_shape: Triple) 
     return view.reshape(-1, int(np.prod(kernel)) * xp.shape[-1])
 
 
+@functools.lru_cache(maxsize=32)
+def _scatter_map(n_: int, in_shape: Triple, kernel: Triple, stride: Triple,
+                 padding: Triple, out_shape: Triple):
+    """CSR arrays (indptr, idx) of the stride > 1 overlap-add.
+
+    Row q, an output point (n, o) in (N, To, Ho, Wo) order, lists the rows
+    of the (N*T*H*W*K, B) product matrix that land on it: input point
+    (n, i) and tap j with o = i*s - p + j on every axis, in ascending tap
+    order. Both arrays are read-only; they are cached per geometry.
+    """
+    taps = int(np.prod(kernel))
+    t_, h_, w_ = in_shape
+    # Per axis, for output o and tap j: the input i = (o + p - j) / s,
+    # times its row step in the product matrix, and whether it is a whole
+    # number inside the input. Broadcast over (To, Ho, Wo, Kt, Kh, Kw).
+    row, valid = np.arange(taps).reshape(kernel), True
+    for axis, (size, k, s, p, o_n, step) in enumerate(zip(
+            in_shape, kernel, stride, padding, out_shape, (h_ * w_ * taps, w_ * taps, taps))):
+        i, rem = np.divmod(np.arange(o_n)[:, None] + p - np.arange(k), s)
+        shape = [1] * 6
+        shape[axis], shape[3 + axis] = o_n, k
+        row = row + (i * step).reshape(shape)                       # batch item 0
+        valid = valid & ((rem == 0) & (i >= 0) & (i < size)).reshape(shape)
+    row = row[valid]
+    per_point = valid.reshape(-1, taps).sum(axis=1)
+    idx = (np.arange(n_)[:, None] * (t_ * h_ * w_ * taps) + row).ravel()
+    indptr = np.zeros(n_ * len(per_point) + 1, dtype=idx.dtype)
+    np.cumsum(np.tile(per_point, n_), out=indptr[1:])
+    for a in (indptr, idx):
+        a.setflags(write=False)
+    return indptr, idx
+
+
 def _adjoint(z: np.ndarray, weight: np.ndarray, stride: Triple, padding: Triple,
              out_shape: Triple) -> np.ndarray:
     """Transposed convolution of z (N, A, T, H, W) by weight (A, B, K...),
@@ -242,9 +327,10 @@ def _adjoint(z: np.ndarray, weight: np.ndarray, stride: Triple, padding: Triple,
 
     At stride 1 it is a gather: a forward conv of z padded by K-1-p with
     the flipped kernel, its channel axes swapped. At a larger stride it is
-    an overlap-add of one GEMM's columns, one strided `+=` per tap, kept
-    channels first so that each `+=` reads runs of W values whatever the
-    channel count.
+    an overlap-add: one GEMM forms the (N*T*H*W*K, B) products of every
+    input point and tap, channels last, and one `csr_matvecs` on the
+    cached `_scatter_map` sums each output point's products from zero in
+    ascending tap order, the order of one strided `+=` per tap.
     """
     kernel = weight.shape[2:]
     n_, a_ = z.shape[:2]
@@ -254,18 +340,14 @@ def _adjoint(z: np.ndarray, weight: np.ndarray, stride: Triple, padding: Triple,
         y = _columns(zp, kernel, stride, out_shape) @ _gemm_weight(flipped)
         return _channels_first(y, (n_,) + tuple(out_shape))
     b_ = weight.shape[1]
-    in_shape = z.shape[2:]
-    full = tuple((s - 1) * st + k for s, st, k in zip(in_shape, stride, kernel))
-    ext = tuple(max(f, p + o) for f, p, o in zip(full, padding, out_shape))
-    cols = weight.reshape(a_, -1).T @ z.swapaxes(0, 1).reshape(a_, -1)
-    cols = cols.reshape(b_, *kernel, n_, *in_shape)               # (B, Kt, Kh, Kw, N, T, H, W)
-    ypad = np.zeros((n_, b_) + ext, dtype=cols.dtype)
-    (t_, h_, w_), (st, sh, sw) = in_shape, stride
-    for jt, jh, jw in np.ndindex(*kernel):
-        ypad[:, :, jt:jt + st * t_:st, jh:jh + sh * h_:sh, jw:jw + sw * w_:sw] += \
-            cols[:, jt, jh, jw].swapaxes(0, 1)
-    (pt, ph, pw), (ot, oh, ow) = padding, out_shape
-    return np.ascontiguousarray(ypad[:, :, pt:pt + ot, ph:ph + oh, pw:pw + ow])
+    products = _channels_last(z) @ weight.transpose(0, 2, 3, 4, 1).reshape(a_, -1)
+    products = products.reshape(-1, b_)                             # (N*T*H*W*K, B)
+    indptr, idx = _scatter_map(n_, z.shape[2:], kernel, tuple(stride), tuple(padding),
+                               tuple(out_shape))
+    y = np.zeros((len(indptr) - 1, b_), dtype=products.dtype)
+    _sparsetools().csr_matvecs(len(y), len(products), b_, indptr, idx,
+                               np.ones(len(idx), dtype=products.dtype), products, y)
+    return _channels_first(y, (n_,) + tuple(out_shape))
 
 
 def conv3d_forward(x: np.ndarray, params: Conv3dParams):

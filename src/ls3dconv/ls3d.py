@@ -46,21 +46,20 @@ S^T, so it is one call of `csc_matvecs`, with no sort or transpose;
 grad_x is the interior of the result.
 
 The two kernels come from scipy's `scipy/sparse/_sparsetools` extension,
-loaded from its file at the first LS3D call and cached in this module:
-importing `scipy.sparse` itself would load all of scipy.sparse for these
-two functions. Nets without an LS3D layer never load it.
+which `conv3d._sparsetools` loads from its file alone on first use and
+caches: importing `scipy.sparse` itself would load all of scipy.sparse
+for these two functions. Plain nets load it too, at their first stride > 1
+transposed conv or conv input gradient, whose overlap-add is one
+`csr_matvecs`.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-
 import numpy as np
 
 from .conv3d import (Conv3dParams, _channels_first, _channels_last, _gemm_weight,
-                     _gemm_weight_inverse, _pad_channels_last, conv3d_backward, conv3d_forward)
+                     _gemm_weight_inverse, _pad_channels_last, _sparsetools, conv3d_backward,
+                     conv3d_forward)
 from .errors import NumericError, ShapeError
 from .tensor import check_tensor5, sigmoid
 
@@ -73,46 +72,6 @@ __all__ = [
 # Rows of the column buffer gathered again per backward pass: with 32
 # float32 channels a block is 512 KiB, small enough to stay in cache.
 _BLOCK = 4096
-
-# The oldest scipy whose sparse kernels this module was tested with.
-SCIPY_MIN = "1.17.1"
-
-# scipy's compiled sparse kernels, once loaded by `_sparsetools`.
-_SPARSETOOLS = None
-
-
-def _sparsetools():
-    """scipy's `_sparsetools` extension module, loaded from its file alone
-    on first use (no `import scipy.sparse`) and cached.
-
-    Raises ImportError naming the scipy found when it or its kernels are
-    missing.
-    """
-    global _SPARSETOOLS
-    if _SPARSETOOLS is None:
-        spec = importlib.util.find_spec("scipy")
-        folders = (spec.submodule_search_locations or []) if spec else []
-        paths = [os.path.join(folder, "sparse", "_sparsetools" + suffix)
-                 for folder in folders for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-        found = next((path for path in paths if os.path.isfile(path)), None)
-        module = None
-        if found is not None:
-            file_spec = importlib.util.spec_from_file_location("scipy.sparse._sparsetools", found)
-            module = importlib.util.module_from_spec(file_spec)
-            file_spec.loader.exec_module(module)
-        if not all(hasattr(module, fn) for fn in ("csr_matvecs", "csc_matvecs")):
-            # Imported here only: it pulls in 1.7 MB of modules.
-            from importlib import metadata
-            try:
-                version = metadata.version("scipy")
-            except metadata.PackageNotFoundError:
-                version = "none"
-            raise ImportError(f"ls3d needs scipy >= {SCIPY_MIN} for its compiled sparse "
-                              f"kernels (scipy/sparse/_sparsetools with csr_matvecs and "
-                              f"csc_matvecs); found scipy {version}")
-        _SPARSETOOLS = module
-    return _SPARSETOOLS
-
 
 def num_taps(kernel) -> int:
     kt, kh, kw = kernel
@@ -198,13 +157,24 @@ def _corners(x: np.ndarray, kernel, offsets: np.ndarray):
     dr, dc = (rows - r0).ravel(), (cols - c0).ravel()
     # Clamped to rows -2..H, a top-left corner with both rows outside the
     # frame keeps them outside, in the zero border; likewise for columns.
-    r0 = np.clip(r0, -2, h, out=r0).astype(np.int64) + 2
-    c0 = np.clip(c0, -2, w, out=c0).astype(np.int64) + 2
+    top = np.clip(r0, -2, h, out=r0).astype(np.int64)
+    c0 = np.clip(c0, -2, w, out=c0).astype(np.int64)
     t_src = np.arange(t_)[:, None, None, None] + (tau + pt)          # (T, 1, 1, K), padded
     frame = np.arange(n_)[:, None, None, None, None] * tp + t_src
-    idx = ((frame * hp + r0) * wp + c0).reshape(-1, 1) + np.array([0, 1, wp, wp + 1])
+    # Frame row of the top-left corner less its column padding of 2,
+    # (frame*hp + r0 + 2)*wp + c0, built in place.
+    top += frame * hp + 2
+    top *= wp
+    top += c0
+    top = top.ravel()
+    idx = np.empty((len(top), 4), dtype=top.dtype)
+    for j, step in enumerate((2, 3, wp + 2, wp + 3)):
+        np.add(top, step, out=idx[:, j])
     indptr = np.arange(0, idx.size + 1, 4, dtype=idx.dtype)
-    weights = np.stack([(1 - dr) * (1 - dc), (1 - dr) * dc, dr * (1 - dc), dr * dc], axis=1)
+    weights = np.empty((len(top), 4), dtype=dr.dtype)
+    udr, udc = 1 - dr, 1 - dc
+    for j, (a, b) in enumerate(((udr, udc), (udr, dc), (dr, udc), (dr, dc))):
+        np.multiply(a, b, out=weights[:, j])
     return frames, indptr, idx, weights, (dr, dc)
 
 

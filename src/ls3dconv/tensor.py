@@ -46,10 +46,6 @@ def relu_backward(grad_out: np.ndarray, forward_input: np.ndarray) -> np.ndarray
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:
-    # Split by sign to stay overflow-free in float32.
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    e = np.exp(a[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|a|) never overflows: 1 / (1 + e) for a >= 0, e / (1 + e) below.
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1, e) / (1 + e)

@@ -5,13 +5,13 @@ pure function of derived seeds, batches run in a fixed order, and the loss
 history is bit-identical from run to run. That holds whatever the BLAS
 thread count (OpenBLAS starts one thread per core unless
 OPENBLAS_NUM_THREADS says otherwise): a threaded GEMM splits its output
-between the threads, so every sum still runs in one fixed order. The LS3D
-sampling kernels (scipy's `csr_matvecs` and `csc_matvecs`) are
-single-threaded and sum in a fixed order: row by row, and each row's
-corners in turn. A test compares loss.csv under one and two threads. Nor
-does it depend on the allocator setting made at import
-(`ls3dconv._keep_freed_pages`), which only decides whether freed memory
-goes back to the kernel.
+between the threads, so every sum still runs in one fixed order. scipy's
+`csr_matvecs` and `csc_matvecs`, which sum the LS3D sampling and the
+strided transposed conv's overlap-add, are single-threaded and sum in a
+fixed order: row by row, and each row's entries in turn. A test compares
+loss.csv under one and two threads. Nor does it depend on the allocator
+setting made at import (`ls3dconv._keep_freed_pages`), which only decides
+whether freed memory goes back to the kernel.
 """
 
 from __future__ import annotations
@@ -249,8 +249,9 @@ def load_checkpoint(path, net: VINet) -> tuple[AdamState | None, str]:
 
     The checkpoint must hold exactly the net's parameters and the config
     echo, plus, if it holds `step`, an Adam moment pair for every
-    parameter. Everything is checked before the net is touched, so a
-    failed load leaves no partially restored parameter set behind.
+    parameter, and a `step` that is a whole number >= 0. Everything is
+    checked before the net is touched, so a failed load leaves no
+    partially restored parameter set behind.
     """
     tensors = load_named_tensors(path)
     params = net.parameters()
@@ -272,6 +273,10 @@ def load_checkpoint(path, net: VINet) -> tuple[AdamState | None, str]:
         raise CheckpointError(f"{path}: {len(extra)} unexpected tensor(s), first "
                               f"'{extra[0]}': not a parameter of this net, or Adam "
                               "moments without 'step'")
+    if "step" in tensors:
+        step = tensors["step"][0]
+        if not (np.isfinite(step) and step >= 0 and step == np.floor(step)):
+            raise CheckpointError(f"{path}: 'step' is {step}, not a whole number >= 0")
     try:
         echo = tensors["config"].tobytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -280,7 +285,7 @@ def load_checkpoint(path, net: VINet) -> tuple[AdamState | None, str]:
     if "step" in tensors:
         state = AdamState(m={n: tensors[f"adam.m/{n}"] for n in params},
                           v={n: tensors[f"adam.v/{n}"] for n in params},
-                          step=int(tensors["step"][0]))
+                          step=int(step))
     for name, p in params.items():
         p[...] = tensors[f"param/{name}"]
     return state, echo

@@ -254,6 +254,18 @@ class TestEvalCommand:
         assert ".offset.weight" in capsys.readouterr().err
         assert not (evaluated / "eval.csv").exists()
 
+    @pytest.mark.parametrize("step", [np.nan, -1.0, 2.5], ids=["nan", "negative", "fraction"])
+    def test_bad_step_is_checkpoint_error(self, tmp_path, capsys, step):
+        assert main(["train", *TINY, "--out", str(tmp_path)]) == EXIT_OK
+        ckpt = tmp_path / "checkpoint.ls3d"
+        tensors = load_named_tensors(ckpt)
+        tensors["step"] = np.array([step])
+        save_named_tensors(ckpt, tensors)
+        (tmp_path / "eval.csv").unlink()
+        assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_IO
+        assert "'step'" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
+
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         code = main(["eval", *TINY, "--out", str(tmp_path),
                      "--set", "eval.checkpoint=/nonexistent.ls3d"])
@@ -335,6 +347,13 @@ class TestVizCommand:
         code = main(["viz", *TINY, "--set", f"{key}={value}", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert f"{key} = {value}" in capsys.readouterr().err
+
+    def test_coordinate_outside_output_grid_makes_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "new"
+        code = main(["viz", *TINY, "--set", "viz.row=99", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "viz.row" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchCommand:

@@ -311,3 +311,56 @@ class TestFastRouteProperties:
                              transpose_grads_by_definition(x, p.weight, gy, p.stride,
                                                            p.padding)):
             np.testing.assert_allclose(fast, ref, rtol=1e-10, atol=1e-10)
+
+
+def overlap_add_by_taps(z, w, stride, padding, out_shape):
+    """The stride > 1 adjoint as per-tap strided `+=`: every (input point,
+    tap) product from one GEMM, added into a zero-padded channels-last
+    buffer one tap at a time in ascending tap order, then cropped."""
+    (n, a, *size), b, kernel = z.shape, w.shape[1], w.shape[2:]
+    products = z.transpose(0, 2, 3, 4, 1).reshape(-1, a) @ w.transpose(0, 2, 3, 4, 1).reshape(a, -1)
+    products = products.reshape(n, *size, -1, b)
+    full = [max((s - 1) * st + k, p + o)
+            for s, st, k, p, o in zip(size, stride, kernel, padding, out_shape)]
+    ypad = np.zeros((n, *full, b), dtype=products.dtype)
+    for tap, j in enumerate(np.ndindex(*kernel)):
+        ypad[(slice(None), *(slice(jj, jj + st * s, st) for jj, st, s in zip(j, stride, size)))] \
+            += products[:, :, :, :, tap]
+    crop = ypad[(slice(None), *(slice(p, p + o) for p, o in zip(padding, out_shape)))]
+    return np.ascontiguousarray(crop.transpose(0, 4, 1, 2, 3))
+
+
+class TestOverlapAddIsExact:
+    """At stride > 1 the adjoint sums each output point's products in the
+    order of one strided `+=` per tap, so it matches that loop bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(geom=geometries(), seed=st.integers(0, 2 ** 32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_transpose_forward(self, geom, seed, dtype):
+        assume(geom[0][1] != (1, 1, 1))
+        p, x, _ = _transpose_case(geom, seed)
+        p = Conv3dParams(p.weight.astype(dtype), np.zeros(p.out_channels, dtype=dtype),
+                         stride=p.stride, padding=p.padding, transposed=True,
+                         output_padding=p.output_padding)
+        x = x.astype(dtype)
+        y = conv3d_transpose_forward(x, p)[0]
+        ref = overlap_add_by_taps(x, p.weight, p.stride, p.padding, y.shape[2:])
+        assert y.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(y, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(geom=geometries(), seed=st.integers(0, 2 ** 32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_conv_input_gradient(self, geom, seed, dtype):
+        assume(geom[0][1] != (1, 1, 1))
+        p, x, rng = _conv_case(geom, seed)
+        p = Conv3dParams(p.weight.astype(dtype), p.bias.astype(dtype), stride=p.stride,
+                         padding=p.padding)
+        x = x.astype(dtype)
+        y, ctx = conv3d_forward(x, p)
+        gy = rng.standard_normal(y.shape).astype(dtype)
+        gx = conv3d_backward(ctx, gy)[0]
+        ref = overlap_add_by_taps(gy, p.weight, p.stride, p.padding, x.shape[2:])
+        assert gx.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(gx, ref)

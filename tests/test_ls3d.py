@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ls3dconv import ls3d
+from ls3dconv import conv3d, ls3d
 from ls3dconv.conv3d import Conv3dParams, conv3d_backward, conv3d_forward, conv3d_ref
 from ls3dconv.errors import NumericError, ShapeError
 from ls3dconv.ls3d import (Ls3dConv, bilinear_backward, bilinear_sample,
@@ -487,8 +487,8 @@ class TestPredictBranches:
 
 
 class TestSparseKernels:
-    """scipy's compiled sparse kernels are loaded from their file on the
-    first LS3D call, and a missing scipy fails loudly there."""
+    """scipy's compiled sparse kernels are loaded from their file on first
+    use, and a missing scipy fails loudly there."""
 
     def _call(self):
         rng = np.random.default_rng(6)
@@ -497,12 +497,12 @@ class TestSparseKernels:
         ls3d_forward(x, rand_main(rng, 1, 1), offsets, masks)
 
     def test_missing_scipy_raises_import_error(self, monkeypatch):
-        monkeypatch.setattr(ls3d, "_SPARSETOOLS", None)
+        monkeypatch.setattr(conv3d, "_SPARSETOOLS", None)
         monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
         with pytest.raises(ImportError) as err:
             self._call()
         message = str(err.value)
-        assert "scipy" in message and f">= {ls3d.SCIPY_MIN}" in message
+        assert "scipy" in message and f">= {conv3d.SCIPY_MIN}" in message
         assert importlib.metadata.version("scipy") in message
 
     def test_missing_kernels_file_raises_import_error(self, monkeypatch, tmp_path):
@@ -510,33 +510,35 @@ class TestSparseKernels:
         (tmp_path / "sparse").mkdir()
         spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
         spec.submodule_search_locations = [str(tmp_path)]
-        monkeypatch.setattr(ls3d, "_SPARSETOOLS", None)
+        monkeypatch.setattr(conv3d, "_SPARSETOOLS", None)
         monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: spec)
         with pytest.raises(ImportError, match="csr_matvecs"):
             self._call()
 
-    def test_only_ls3d_nets_load_the_kernels(self):
-        """A plain net's training step leaves the kernel cache empty; an
-        LS3D net's fills it. Neither imports scipy.sparse."""
+    def test_plain_and_ls3d_nets_load_the_kernels(self):
+        """A plain net's training step fills the kernel cache (its decoder's
+        transposed convs overlap-add through csr_matvecs), and so does an
+        LS3D net's. Neither imports scipy.sparse."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         script = (
             "import sys\n"
-            "from ls3dconv import ls3d, train\n"
+            "from ls3dconv import conv3d, train\n"
             "from ls3dconv.net import NetworkSpec, build_net\n"
             "cfg = train.TrainConfig(epochs=1, batch_size=1, learning_rate=1e-3, seed=0,\n"
             "                        task='interpolate', clips=1, eval_clips=1, size=16,\n"
             "                        motion=2.0, eval_every=0)\n"
             "for blocks in ((), (2,)):\n"
+            "    conv3d._SPARSETOOLS = None\n"
             "    spec = NetworkSpec(channels=4, num_resblocks=2, ls3d_block_indices=blocks,\n"
             "                       temporal_deconv_after={1, 2})\n"
             "    train.train_loop(build_net(spec, seed=0), cfg)\n"
-            "    print(ls3d._SPARSETOOLS is not None, 'scipy.sparse' in sys.modules)\n")
+            "    print(conv3d._SPARSETOOLS is not None, 'scipy.sparse' in sys.modules)\n")
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:2] == ["False False", "True False"]
+        assert proc.stdout.split("\n")[:2] == ["True False", "True False"]
 
 
 def _has_mallopt() -> bool:

@@ -51,6 +51,31 @@ class TestElementwise:
         assert np.all(np.isfinite(s))
         np.testing.assert_allclose(s, [0.0, 0.5, 1.0], atol=1e-6)
 
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_sigmoid_matches_split_by_sign_bitwise(self, dtype, bits):
+        """Bit for bit the split-by-sign form, over random finite bit
+        patterns, the extremes, signed zeros and infinities; NaN stays NaN."""
+        def split_by_sign(a):
+            out = np.empty_like(a)
+            pos = a >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+            e = np.exp(a[~pos])
+            out[~pos] = e / (1.0 + e)
+            return out
+
+        rng = np.random.default_rng(0)
+        fi = np.finfo(dtype)
+        special = np.array([0.0, fi.smallest_subnormal, fi.tiny, 1e-8, 1.0, 17.0, 88.7, 89.0,
+                            709.0, 710.0, 1e30, fi.max, np.inf], dtype=dtype)
+        patterns = rng.integers(0, np.iinfo(bits).max, 1_000_000, dtype=bits,
+                                endpoint=True).view(dtype)
+        a = np.concatenate([patterns[np.isfinite(patterns)],
+                            (rng.standard_normal(200_000) * 20).astype(dtype), special, -special])
+        s = sigmoid(a)
+        assert s.dtype == dtype
+        np.testing.assert_array_equal(s.view(bits), split_by_sign(a).view(bits))
+        assert np.isnan(sigmoid(np.array([np.nan], dtype=dtype)))
+
 
 class TestPgm:
     def test_roundtrip_normalization(self, tmp_path):

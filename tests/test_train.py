@@ -331,6 +331,22 @@ class TestCheckpoint:
             load_checkpoint(path, fresh)
         assert_params_equal(fresh, before)
 
+    @pytest.mark.parametrize("step", [np.nan, -1.0, 2.5], ids=["nan", "negative", "fraction"])
+    def test_step_must_be_a_whole_number(self, tmp_path, step):
+        """A step that is not finite, integral and >= 0 is rejected, naming
+        `step`, before the net is touched."""
+        net = one_conv_layer(0)
+        path = tmp_path / "ck.ls3d"
+        save_checkpoint(path, net, AdamState.init(net.parameters()))
+        tensors = load_named_tensors(path)
+        tensors["step"] = np.array([step])
+        save_named_tensors(path, tensors)
+        fresh = one_conv_layer(1)
+        before = snapshot(fresh)
+        with pytest.raises(CheckpointError, match="'step'"):
+            load_checkpoint(path, fresh)
+        assert_params_equal(fresh, before)
+
     @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**32 - 1, 2**32 - 1, 0)],
                              ids=["wraps_int64", "zero_sized"])
     def test_dims_past_int64_rejected(self, tmp_path, dims):
