@@ -367,24 +367,27 @@ def cmd_bench(cfg: dict, out: Path) -> int:
     backward, at the input shape of the configured net's last residual block."""
     spec = network_spec(cfg)
     tcfg = train_config(cfg)
-    t = 2 if spec.task == "interpolate" else tcfg.num_frames
-    for i in spec.temporal_deconv_after:
-        if i < spec.num_resblocks:
-            t = 2 * t - 1  # a stride-2 temporal deconv before the last block
-    n, c, size = tcfg.batch_size, spec.channels, tcfg.size // 4
+    net = build_net(spec, seed=tcfg.seed)
+    # Input frames: the two end frames for interpolation, the clip for denoising.
+    shape = (2 if spec.task == "interpolate" else tcfg.num_frames, tcfg.size, tcfg.size)
+    last = max(i for i, layer in enumerate(net.layers) if isinstance(layer, ResBlock))
+    for layer in net.layers[:last]:
+        if isinstance(layer, Conv3dLayer):
+            shape = layer.params.output_shape(shape)
+    n, c, (t, h, w) = tcfg.batch_size, spec.channels, shape
     repeats = cfg["bench.repeats"]
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((n, c, t, size, size)).astype(np.float32)
-    w = rng.standard_normal((c, c, 3, 3, 3)).astype(np.float32)
-    params = Conv3dParams(w, np.zeros(c, dtype=np.float32), padding=(1, 1, 1))
+    x = rng.standard_normal((n, c, t, h, w)).astype(np.float32)
+    weight = rng.standard_normal((c, c, 3, 3, 3)).astype(np.float32)
+    params = Conv3dParams(weight, np.zeros(c, dtype=np.float32), padding=(1, 1, 1))
     taps = num_taps((3, 3, 3))
-    offsets = (rng.standard_normal((n, 2 * taps, t, size, size)) * 0.7).astype(np.float32)
-    masks = rng.uniform(0.2, 0.8, (n, taps, t, size, size)).astype(np.float32)
+    offsets = (rng.standard_normal((n, 2 * taps, t, h, w)) * 0.7).astype(np.float32)
+    masks = rng.uniform(0.2, 0.8, (n, taps, t, h, w)).astype(np.float32)
     grad_y = rng.standard_normal(x.shape).astype(np.float32)
 
     # Multiply-adds of the main kernel; a backward does two such GEMMs
     # (input and weight gradients).
-    macs = n * c * c * taps * t * size * size
+    macs = n * c * c * taps * t * h * w
 
     def timeit(fn):
         """Best of `repeats` timed calls after a warm-up, and the minor page
@@ -409,7 +412,7 @@ def cmd_bench(cfg: dict, out: Path) -> int:
     for name, fn, op_macs in ops:
         secs, faults = timeit(fn)
         rows.append((name, secs, 1.0 / secs, op_macs / secs, faults))
-    print(f"shape ({n},{c},{t},{size},{size}), kernel 3x3x3, best of {repeats}")
+    print(f"shape ({n},{c},{t},{h},{w}), kernel 3x3x3, best of {repeats}")
     for name, secs, calls, mps, faults in rows:
         print(f"{name:15s} {secs * 1e3:9.2f} ms/call  {calls:8.2f} calls/s  "
               f"{mps / 1e6:9.1f} MMAC/s  {faults:8.1f} minor faults/call")

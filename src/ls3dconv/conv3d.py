@@ -31,6 +31,10 @@ adjoint, or any LS3D call) and cached in this module: importing
 `scipy.sparse` itself would load all of scipy.sparse for the two
 functions used, `csr_matvecs` here and `csc_matvecs` in LS3D.
 
+`Conv3dParams.output_shape` is the one place a conv's output size is
+worked out: the four entry points, `viz.receptive_field` and `bench` all
+call it.
+
 Convolution means cross-correlation (no kernel flip) with zero padding.
 Weight layout is (C_out, C_in, K_t, K_h, K_w) for forward convolutions.
 A transposed layer reuses the same layout with axis 0 = its input channels
@@ -120,6 +124,21 @@ class Conv3dParams:
     def out_channels(self) -> int:
         return self.weight.shape[1] if self.transposed else self.weight.shape[0]
 
+    def output_shape(self, in_shape) -> Triple:
+        """Output (T, H, W) for an input of (T, H, W) `in_shape`, per axis
+        (size + 2p - k) // s + 1, or (size - 1)*s - 2p + k + output_padding
+        when transposed. Raises ShapeError if an axis would be empty."""
+        out = []
+        for name, size, k, s, p, op in zip("THW", in_shape, self.kernel, self.stride,
+                                          self.padding, self.output_padding):
+            o = (size - 1) * s - 2 * p + k + op if self.transposed else (size + 2 * p - k) // s + 1
+            if o < 1:
+                kind = "transposed conv" if self.transposed else "conv"
+                raise ShapeError(f"{kind} output along {name} would be empty: "
+                                 f"size={size}, kernel={k}, stride={s}, pad={p}")
+            out.append(o)
+        return tuple(out)
+
     def validate(self) -> None:
         if self.weight.ndim != 5:
             raise ShapeError(f"conv weight must be 5-D, got shape {self.weight.shape}")
@@ -137,18 +156,6 @@ class Conv3dParams:
             for name, (o, s) in zip("THW", zip(self.output_padding, self.stride)):
                 if not 0 <= o < s:
                     raise ShapeError(f"output_padding o_{name}={o} must satisfy 0 <= o < stride={s}")
-
-
-def conv_out_shape(size: int, k: int, s: int, p: int, axis: str = "?") -> int:
-    out = (size + 2 * p - k) // s + 1
-    if out < 1:
-        raise ShapeError(f"conv output along {axis} would be empty: "
-                         f"size={size}, kernel={k}, stride={s}, pad={p}")
-    return out
-
-
-def conv_transpose_out_shape(size: int, k: int, s: int, p: int, op: int) -> int:
-    return (size - 1) * s - 2 * p + k + op
 
 
 def _check_input(x: np.ndarray, params: Conv3dParams, op: str) -> None:
@@ -169,9 +176,7 @@ def conv3d_ref(x: np.ndarray, params: Conv3dParams) -> np.ndarray:
     kt, kh, kw = params.kernel
     st, sh, sw = params.stride
     pt, ph, pw = params.padding
-    t_out = conv_out_shape(t_in, kt, st, pt, "T")
-    h_out = conv_out_shape(h_in, kh, sh, ph, "H")
-    w_out = conv_out_shape(w_in, kw, sw, pw, "W")
+    t_out, h_out, w_out = params.output_shape(x.shape[2:])
     weight = params.weight
     y = np.zeros((n_, params.out_channels, t_out, h_out, w_out), dtype=x.dtype)
     for n in range(n_):
@@ -206,13 +211,7 @@ def conv3d_transpose_ref(x: np.ndarray, params: Conv3dParams) -> np.ndarray:
     kt, kh, kw = params.kernel
     st, sh, sw = params.stride
     pt, ph, pw = params.padding
-    ot_, oh_, ow_ = (conv_transpose_out_shape(s, k, st_, p, op)
-                     for s, k, st_, p, op in zip((t_in, h_in, w_in), (kt, kh, kw),
-                                                 (st, sh, sw), (pt, ph, pw),
-                                                 params.output_padding))
-    for name, o in zip("THW", (ot_, oh_, ow_)):
-        if o < 1:
-            raise ShapeError(f"transposed conv output along {name} would be empty ({o})")
+    ot_, oh_, ow_ = params.output_shape(x.shape[2:])
     weight = params.weight
     y = np.zeros((n_, params.out_channels, ot_, oh_, ow_), dtype=x.dtype)
     for n in range(n_):
@@ -355,9 +354,7 @@ def conv3d_forward(x: np.ndarray, params: Conv3dParams):
     if params.transposed:
         raise ShapeError("conv3d_forward: params are transposed")
     _check_input(x, params, "conv3d")
-    out_shape = tuple(conv_out_shape(s, k, st, p, ax)
-                      for s, k, st, p, ax in zip(x.shape[2:], params.kernel,
-                                                 params.stride, params.padding, "THW"))
+    out_shape = params.output_shape(x.shape[2:])
     xp = _pad_channels_last(x, params.padding)
     y = _columns(xp, params.kernel, params.stride, out_shape) @ _gemm_weight(params.weight)
     y += params.bias.astype(y.dtype)
@@ -381,12 +378,7 @@ def conv3d_transpose_forward(x: np.ndarray, params: Conv3dParams):
     if not params.transposed:
         raise ShapeError("conv3d_transpose_forward: params.transposed must be true")
     _check_input(x, params, "conv3d_transpose")
-    out_shape = tuple(conv_transpose_out_shape(s, k, st, p, op)
-                      for s, k, st, p, op in zip(x.shape[2:], params.kernel, params.stride,
-                                                 params.padding, params.output_padding))
-    for name, o in zip("THW", out_shape):
-        if o < 1:
-            raise ShapeError(f"transposed conv output along {name} would be empty ({o})")
+    out_shape = params.output_shape(x.shape[2:])
     y = _adjoint(x, params.weight, params.stride, params.padding, out_shape)
     y += params.bias[None, :, None, None, None].astype(y.dtype)
     ctx = (x, params, out_shape)

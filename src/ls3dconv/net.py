@@ -212,25 +212,21 @@ class VINet:
         self._have_state = False
         return g
 
-    def geometry(self):
-        """Per-axis (kernel, stride, pad, out_pad, transposed) for every conv
-        actually on the data path, outermost first; used for the analytic
-        receptive field. Residual blocks contribute their two convs (the
-        skip's footprint is a subset)."""
-        entries = []
-
-        def add(params: Conv3dParams):
-            entries.append((params.kernel, params.stride, params.padding,
-                            params.output_padding, params.transposed))
-
+    def geometry(self) -> list[Conv3dParams]:
+        """The params of every conv on the data path, outermost first; walk
+        them with `Conv3dParams.output_shape` for each stage's size, as the
+        analytic receptive field does. A residual block contributes its two
+        convs (the skip's footprint is a subset); an LS3D conv its main
+        kernel, which is where zero offsets sample."""
+        convs = []
         for layer in self.layers:
             if isinstance(layer, Conv3dLayer):
-                add(layer.params)
+                convs.append(layer.params)
             elif isinstance(layer, ResBlock):
                 first = layer.first
-                add(first.main if isinstance(first, Ls3dConv) else first.params)
-                add(layer.second.params)
-        return entries
+                convs += [first.main if isinstance(first, Ls3dConv) else first.params,
+                          layer.second.params]
+        return convs
 
 
 def build_net(spec: NetworkSpec, seed: int) -> VINet:

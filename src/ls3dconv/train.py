@@ -48,10 +48,17 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.clips, self.eval_clips) < 1:
             raise ConfigError("epochs, batch_size, clips and eval_clips must be positive")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0 (0: no held-out evaluation)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0 (numpy seeds are non-negative), got {self.seed}")
+        if self.num_objects < 0:
+            raise ConfigError(f"num_objects must be >= 0, got {self.num_objects}")
+        for name in ("learning_rate", "grad_clip", "motion", "noise_sigma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                note = " (0: no clipping)" if name == "grad_clip" else ""
+                raise ConfigError(f"{name} must be finite and >= 0{note}, got {value}")
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).

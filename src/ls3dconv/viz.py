@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv3d import conv_out_shape, conv_transpose_out_shape
 from .errors import ShapeError
 from .fileio import write_pgm
 
@@ -75,48 +74,34 @@ def emit_map_image(smap: SamplingMap, out_dir, prefix: str = "sampling") -> list
 
 # --- analytic receptive field -------------------------------------------------
 
-def _trace_sizes(geometry, in_sizes):
-    """Input size of every conv stage along each axis, outermost first."""
-    sizes = []
-    cur = list(in_sizes)
-    for kernel, stride, pad, out_pad, transposed in geometry:
-        sizes.append(tuple(cur))
-        for ax in range(3):
-            if transposed:
-                cur[ax] = conv_transpose_out_shape(cur[ax], kernel[ax], stride[ax],
-                                                   pad[ax], out_pad[ax])
-            else:
-                cur[ax] = conv_out_shape(cur[ax], kernel[ax], stride[ax], pad[ax])
-    return sizes, tuple(cur)
-
-
 def receptive_field(net, input_shape, out_coord: tuple[int, int, int]):
     """Closed intervals of input (t, row, col) that can reach out_coord.
 
-    Walks the conv geometry backward. For a forward conv, output index o
-    reads inputs [o*s - p, o*s - p + k - 1]; for a transposed conv it
-    reads inputs i with o = i*s - p + j, j in [0, k).
+    Walks `net.geometry()`, a list of `Conv3dParams`, forward with
+    `output_shape` for every stage's input size, then backward over the
+    intervals. For a forward conv, output index o reads inputs
+    [o*s - p, o*s - p + k - 1]; for a transposed conv it reads inputs i
+    with o = i*s - p + j, j in [0, k).
     """
-    geometry = net.geometry()
-    in_sizes = tuple(input_shape[2:])
-    stage_inputs, out_sizes = _trace_sizes(geometry, in_sizes)
-    lo = list(out_coord)
-    hi = list(out_coord)
-    for name, (o, size) in zip("THW", zip(out_coord, out_sizes)):
+    convs = net.geometry()
+    sizes = [tuple(input_shape[2:])]
+    for params in convs:
+        sizes.append(params.output_shape(sizes[-1]))
+    for name, o, size in zip("THW", out_coord, sizes[-1]):
         if not 0 <= o < size:
             raise ShapeError(f"out_coord along {name} is {o}, output size {size}")
-    for (kernel, stride, pad, out_pad, transposed), sizes in zip(reversed(geometry),
-                                                                 reversed(stage_inputs)):
-        for ax in range(3):
-            k, s, p = kernel[ax], stride[ax], pad[ax]
-            if transposed:
+    lo = list(out_coord)
+    hi = list(out_coord)
+    for params, in_sizes in zip(reversed(convs), reversed(sizes[:-1])):
+        for ax, (k, s, p) in enumerate(zip(params.kernel, params.stride, params.padding)):
+            if params.transposed:
                 lo[ax] = -(-(lo[ax] + p - k + 1) // s)  # ceil division
                 hi[ax] = (hi[ax] + p) // s
             else:
                 lo[ax] = lo[ax] * s - p
                 hi[ax] = hi[ax] * s - p + k - 1
             lo[ax] = max(lo[ax], 0)
-            hi[ax] = min(hi[ax], sizes[ax] - 1)
+            hi[ax] = min(hi[ax], in_sizes[ax] - 1)
     return tuple((int(a), int(b)) for a, b in zip(lo, hi))
 
 

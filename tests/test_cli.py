@@ -16,6 +16,8 @@ from ls3dconv.cli import (ABLATION_VARIANTS, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           EXIT_SHAPE, load_config, main, map_in_workers)
 from ls3dconv.errors import ConfigError
 from ls3dconv.fileio import load_named_tensors, save_named_tensors
+from ls3dconv.net import ResBlock, build_net
+from ls3dconv.train import make_dataset
 
 TINY = [
     "--set", "net.channels=4",
@@ -122,6 +124,34 @@ class TestConfig:
         code = main(["train", *TINY, "--set", item, "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--set", "train.seed=-1"]])
+    def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, args):
+        """numpy seeds are non-negative: a negative one used to fail in the
+        first random draw, with a traceback and an empty --out left behind."""
+        out = tmp_path / "out"
+        code = main(["train", *TINY, *args, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("items", [
+        ["train.learning_rate=nan"], ["train.learning_rate=inf"], ["train.grad_clip=nan"],
+        ["train.grad_clip=-1"], ["net.task=denoise", "data.noise_sigma=nan"],
+        ["data.motion=nan"], ["data.num_objects=-3"],
+    ], ids=lambda items: items[-1])
+    def test_non_finite_or_negative_value_rejected_before_any_work(self, tmp_path, capsys,
+                                                                    items):
+        """Each of these used to train (a NaN learning rate, sigma or motion
+        failed only later; a NaN or negative grad_clip switched clipping off;
+        a negative object count meant none) instead of exiting 2."""
+        out = tmp_path / "out"
+        sets = [arg for item in items for arg in ("--set", item)]
+        code = main(["train", *TINY, *sets, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        field = items[-1].split("=")[0].split(".")[1]
+        assert f"{field} must be" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("size", [8, 10])
@@ -370,3 +400,26 @@ class TestBenchCommand:
                                            "ls3d_forward", "ls3d_backward"]
         assert list(rows[0])[-1] == "minor_faults_per_call"
         assert all(float(r["minor_faults_per_call"]) >= 0 for r in rows)
+
+    @pytest.mark.parametrize("args, shape", [
+        (TINY, (2, 4, 5, 4, 4)),
+        ([], (2, 32, 5, 8, 8)),
+        (["--set", "net.task=denoise", "--set", "data.noise_sigma=25",
+          "--set", "data.num_frames=3"], (2, 32, 3, 8, 8)),
+    ], ids=["tiny", "default", "denoise"])
+    def test_shape_is_last_block_input(self, tmp_path, capsys, args, shape):
+        """The timed shape is the input of the net's last residual block in a
+        forward pass over a batch of the configured clips."""
+        cfg = load_config(None, args[1::2])
+        tcfg = cli.train_config(cfg)
+        net = build_net(cli.network_spec(cfg), seed=tcfg.seed)
+        last = [layer for layer in net.layers if isinstance(layer, ResBlock)][-1]
+        seen = []
+        forward = last.forward
+        last.forward = lambda x, keep_state=False: seen.append(x.shape) or forward(x, keep_state)
+        clip = make_dataset(tcfg, 1, seed_base=0)[0].inputs
+        net.forward(np.concatenate([clip] * tcfg.batch_size))
+        assert seen == [shape]
+        code = main(["bench", *args, "--set", "bench.repeats=1", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert f"shape ({','.join(map(str, shape))})" in capsys.readouterr().out

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from ls3dconv.conv3d import (Conv3dParams, conv3d_backward, conv3d_forward,
                              conv3d_ref, conv3d_transpose_backward,
-                             conv3d_transpose_forward, conv3d_transpose_ref,
-                             conv_out_shape, conv_transpose_out_shape)
+                             conv3d_transpose_forward, conv3d_transpose_ref)
 from ls3dconv.errors import ShapeError
 
 
@@ -86,10 +85,10 @@ class TestConv3dRef:
 
 class TestTransposedRef:
     def test_temporal_upsampling_arithmetic(self):
-        assert conv_transpose_out_shape(2, 3, 2, 1, 0) == 3
-        assert conv_transpose_out_shape(3, 3, 2, 1, 0) == 5
         rng = np.random.default_rng(5)
         p = rand_conv(rng, 1, 1, stride=(2, 1, 1), pad=(1, 1, 1), transposed=True)
+        assert p.output_shape((2, 3, 3)) == (3, 3, 3)
+        assert p.output_shape((3, 3, 3)) == (5, 3, 3)
         x = rng.standard_normal((1, 1, 2, 3, 3))
         y = conv3d_transpose_ref(x, p)
         assert y.shape[2] == 3
@@ -180,9 +179,22 @@ class TestFastPathAgreesWithRef:
         np.testing.assert_allclose(gx, conv3d_ref(gy, gather), rtol=1e-10, atol=1e-12)
 
 
-def test_conv_out_shape_rejects_empty():
-    with pytest.raises(ShapeError, match="empty"):
-        conv_out_shape(2, 5, 1, 0, "H")
+def test_output_shape_rejects_empty():
+    conv = Conv3dParams(np.zeros((1, 1, 1, 5, 1)), np.zeros(1))
+    assert conv.output_shape((1, 5, 1)) == (1, 1, 1)
+    with pytest.raises(ShapeError, match="conv output along H would be empty"):
+        conv.output_shape((1, 4, 1))
+    # (1 - 1)*1 - 2*2 + 3 = -1 frames
+    deconv = Conv3dParams(np.zeros((1, 1, 3, 1, 1)), np.zeros(1), padding=(2, 0, 0),
+                          transposed=True)
+    with pytest.raises(ShapeError, match="transposed conv output along T would be empty"):
+        deconv.output_shape((1, 1, 1))
+    x_conv, x_deconv = np.zeros((1, 1, 1, 4, 1)), np.zeros((1, 1, 1, 1, 1))
+    for op, params, x in ((conv3d_ref, conv, x_conv), (conv3d_forward, conv, x_conv),
+                          (conv3d_transpose_ref, deconv, x_deconv),
+                          (conv3d_transpose_forward, deconv, x_deconv)):
+        with pytest.raises(ShapeError, match="would be empty"):
+            op(x, params)
 
 
 # --- properties of the fast route over random geometry --------------------
@@ -207,21 +219,22 @@ def _conv_case(geom, seed):
     the loop oracle's work is bounded to keep examples fast."""
     (kernel, stride, pad, _, size), (n, c_in, c_out) = geom
     assume(all(sz + 2 * p >= k for sz, p, k in zip(size, pad, kernel)))
-    out = [conv_out_shape(sz, k, s, p) for sz, k, s, p in zip(size, kernel, stride, pad)]
-    assume(n * c_out * np.prod(out) * np.prod(kernel) <= 20_000)
     rng = np.random.default_rng(seed)
     p = rand_conv(rng, c_in, c_out, kernel, stride, pad)
+    assume(n * c_out * np.prod(p.output_shape(size)) * np.prod(kernel) <= 20_000)
     return p, rng.standard_normal((n, c_in, *size)), rng
 
 
 def _transpose_case(geom, seed):
     """A transposed conv with random weight and bias and a valid input for it."""
     (kernel, stride, pad, op, size), (n, c_in, c_out) = geom
-    out = [conv_transpose_out_shape(*a) for a in zip(size, kernel, stride, pad, op)]
-    assume(min(out) >= 1)
     assume(n * c_in * np.prod(size) * np.prod(kernel) <= 20_000)
     rng = np.random.default_rng(seed)
     p = rand_conv(rng, c_in, c_out, kernel, stride, pad, transposed=True, output_padding=op)
+    try:
+        p.output_shape(size)
+    except ShapeError:
+        assume(False)
     return p, rng.standard_normal((n, c_in, *size)), rng
 
 

@@ -88,6 +88,19 @@ class TestShapeContracts:
         x = np.zeros((2, 3, 3, 32, 32), dtype=np.float64)
         assert net.forward(x).shape == x.shape
 
+    @pytest.mark.parametrize("task, t_in", [("interpolate", 2), ("denoise", 5)])
+    def test_geometry_walk_matches_forward(self, task, t_in):
+        """Walking `geometry()` with `output_shape` gives the shape a real
+        forward returns, LS3D blocks and temporal deconvs included."""
+        net = build_net(NetworkSpec(channels=4, ls3d_block_indices=frozenset({3}), task=task),
+                        seed=0)
+        x = np.zeros((1, 3, t_in, 16, 24), dtype=np.float32)
+        shape = x.shape[2:]
+        for params in net.geometry():
+            shape = params.output_shape(shape)
+        assert shape == net.forward(x).shape[2:]
+        assert len(net.geometry()) == 4 + 2 * 6 + (2 if task == "interpolate" else 0)
+
     def test_indivisible_hw_rejected(self):
         net = build_net(tiny_spec(), seed=0)
         with pytest.raises(ShapeError, match="divisible"):

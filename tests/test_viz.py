@@ -95,8 +95,7 @@ class TestReceptiveField:
 
         class _OneLayerNet:
             def geometry(self):
-                return [(model.params.kernel, model.params.stride,
-                         model.params.padding, model.params.output_padding, False)]
+                return [model.params]
 
         rf = receptive_field(_OneLayerNet(), (1, 1, 3, 9, 9), (1, 4, 4))
         assert rf == ((0, 2), (3, 5), (3, 5))
@@ -137,7 +136,7 @@ class TestReceptiveField:
 
         class _OneLayerNet:
             def geometry(self):
-                return [((3, 3, 3), (1, 1, 1), (1, 1, 1), (0, 0, 0), False)]
+                return [layer.main]
 
         x = rng.standard_normal((1, 1, 3, 16, 16))
         smap = sampling_map(layer, x, (1, 8, 8))
