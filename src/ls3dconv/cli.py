@@ -27,7 +27,8 @@ from .conv3d import Conv3dParams, conv3d_backward, conv3d_forward
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .gradcheck import gradcheck
 from .ls3d import Ls3dConv, ls3d_backward, ls3d_forward, num_taps
-from .net import Conv3dLayer, NetworkSpec, ResBlock, build_net, make_ls3d_layer
+from .net import (SIZE_MULTIPLE, Conv3dLayer, NetworkSpec, ResBlock, VINet, build_net,
+                  make_ls3d_layer)
 from .train import (TrainConfig, evaluate, heldout_set, load_checkpoint, make_dataset,
                     mean_quality, save_checkpoint, train_loop, write_loss_csv)
 from .metrics import SSIM_WINDOW, write_eval_csv
@@ -76,34 +77,60 @@ SCHEMA: dict = {
     "bench.repeats": (_count, 3),
 }
 
-# (name, LS3D block set). Two names may share a block set; ablate trains
-# each distinct set once per seed and reports it under every name.
-ABLATION_VARIANTS: tuple[tuple[str, str], ...] = (
-    ("baseline", ""),
-    ("res1,2", "1,2"),
-    ("res3,4", "3,4"),
-    ("res5,6", "5,6"),
-    ("2-LS3D", "5,6"),
-    ("4-LS3D", "3,4,5,6"),
-    ("6-LS3D", "all"),
+# (name, --set overrides). A variant's run is the resolved config with its
+# overrides and one seed applied; runs whose resolved configs agree (res5,6
+# and 2-LS3D) train once and are reported under every name.
+ABLATION_VARIANTS: tuple[tuple[str, tuple[str, ...]], ...] = (
+    ("baseline", ("net.ls3d_blocks=",)),
+    ("res1,2", ("net.ls3d_blocks=1,2",)),
+    ("res3,4", ("net.ls3d_blocks=3,4",)),
+    ("res5,6", ("net.ls3d_blocks=5,6",)),
+    ("2-LS3D", ("net.ls3d_blocks=5,6",)),
+    ("4-LS3D", ("net.ls3d_blocks=3,4,5,6",)),
+    ("6-LS3D", ("net.ls3d_blocks=all",)),
 )
+
+
+def _set_key(cfg: dict, key: str, raw: str, where: str) -> None:
+    key = key.strip()
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown configuration key '{key}' ({where})")
+    parser, _ = SCHEMA[key]
+    try:
+        cfg[key] = parser(raw.strip())
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for '{key}': {raw.strip()} ({exc})") from exc
+
+
+def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
+    """A copy of cfg with each `key=value` of overrides set as `--set` sets
+    it, checked against the rules that join several keys."""
+    cfg = dict(cfg)
+    for item in overrides:
+        if "=" not in item:
+            raise ConfigError(f"--set expects key=value, got '{item}'")
+        key, raw = item.split("=", 1)
+        _set_key(cfg, key, raw, "--set")
+    for key, used in (("data.num_frames", 5), ("data.noise_sigma", 0.0)):
+        if cfg["net.task"] == "interpolate" and cfg[key] != used:
+            raise ConfigError(f"{key} = {cfg[key]} has no effect on net.task = interpolate, "
+                              "which always uses clean 5-frame clips")
+    if cfg["data.size"] < SSIM_WINDOW:
+        raise ConfigError(f"data.size = {cfg['data.size']} is below {SSIM_WINDOW}, the "
+                          "side of the SSIM window every evaluation scores with")
+    if cfg["data.size"] % SIZE_MULTIPLE:
+        raise ConfigError(f"data.size = {cfg['data.size']} is not a multiple of "
+                          f"{SIZE_MULTIPLE}: the net halves it twice and doubles it back")
+    if cfg["net.task"] == "denoise" and cfg["data.noise_sigma"] <= 0:
+        raise ConfigError("net.task = denoise needs data.noise_sigma > 0: on clean clips "
+                          "the identity is the best denoiser")
+    return cfg
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = {key: default for key, (_, default) in SCHEMA.items()}
-
-    def apply(key: str, raw: str, where: str):
-        key = key.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown configuration key '{key}' ({where})")
-        parser, _ = SCHEMA[key]
-        try:
-            cfg[key] = parser(raw.strip())
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for '{key}': {raw.strip()} ({exc})") from exc
-
     if path:
         try:
             text = Path(path).read_text()
@@ -116,23 +143,8 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
             key, raw = line.split("=", 1)
-            apply(key, raw, f"{path}:{lineno}")
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got '{item}'")
-        key, raw = item.split("=", 1)
-        apply(key, raw, "--set")
-    for key, used in (("data.num_frames", 5), ("data.noise_sigma", 0.0)):
-        if cfg["net.task"] == "interpolate" and cfg[key] != used:
-            raise ConfigError(f"{key} = {cfg[key]} has no effect on net.task = interpolate, "
-                              "which always uses clean 5-frame clips")
-    if cfg["data.size"] < SSIM_WINDOW:
-        raise ConfigError(f"data.size = {cfg['data.size']} is below {SSIM_WINDOW}, the "
-                          "side of the SSIM window every evaluation scores with")
-    if cfg["net.task"] == "denoise" and cfg["data.noise_sigma"] <= 0:
-        raise ConfigError("net.task = denoise needs data.noise_sigma > 0: on clean clips "
-                          "the identity is the best denoiser")
-    return cfg
+            _set_key(cfg, key, raw, f"{path}:{lineno}")
+    return apply_overrides(cfg, overrides)
 
 
 def config_text(cfg: dict) -> str:
@@ -157,12 +169,11 @@ def _parse_block_set(raw: str) -> frozenset[int]:
         raise ConfigError(f"bad net.ls3d_blocks '{raw}': {exc}") from exc
 
 
-def network_spec(cfg: dict, ls3d_blocks: str | None = None) -> NetworkSpec:
+def network_spec(cfg: dict) -> NetworkSpec:
     """The configured net; block count, deconv placement and branch kernel
     are NetworkSpec's defaults."""
-    blocks_raw = cfg["net.ls3d_blocks"] if ls3d_blocks is None else ls3d_blocks
     return NetworkSpec(channels=cfg["net.channels"],
-                       ls3d_block_indices=_parse_block_set(blocks_raw),
+                       ls3d_block_indices=_parse_block_set(cfg["net.ls3d_blocks"]),
                        task=cfg["net.task"])
 
 
@@ -189,21 +200,27 @@ def _announce(path) -> None:
     print(f"wrote {path}")
 
 
-def _write_eval(net, tcfg: TrainConfig, out: Path) -> tuple[float, float]:
-    """Score net on the held-out set, write eval.csv; returns mean (PSNR, SSIM)."""
+def configured_net(cfg: dict) -> tuple[VINet, TrainConfig]:
+    """The configured net, initialised from train.seed, and its training set-up."""
+    tcfg = train_config(cfg)
+    return build_net(network_spec(cfg), seed=tcfg.seed), tcfg
+
+
+def score_heldout(net: VINet, tcfg: TrainConfig, out: Path | None = None) -> tuple[float, float]:
+    """Score net on the held-out set, writing eval.csv under `out` if given;
+    returns mean (PSNR, SSIM)."""
     reports = evaluate(net, heldout_set(tcfg))
-    eval_csv = out / "eval.csv"
-    write_eval_csv(eval_csv, reports)
-    _announce(eval_csv)
+    if out is not None:
+        eval_csv = out / "eval.csv"
+        write_eval_csv(eval_csv, reports)
+        _announce(eval_csv)
     return mean_quality(reports)
 
 
 # --- commands ----------------------------------------------------------------
 
 def cmd_train(cfg: dict, out: Path) -> int:
-    spec = network_spec(cfg)
-    tcfg = train_config(cfg)
-    net = build_net(spec, seed=tcfg.seed)
+    net, tcfg = configured_net(cfg)
     ckpt = out / "checkpoint.ls3d"
     result = train_loop(net, tcfg, abort_checkpoint_path=ckpt)
     save_checkpoint(ckpt, net, result.adam_state, config_echo=config_text(cfg))
@@ -211,7 +228,7 @@ def cmd_train(cfg: dict, out: Path) -> int:
     loss_csv = out / "loss.csv"
     write_loss_csv(loss_csv, result.loss_rows)
     _announce(loss_csv)
-    mean_psnr, mean_ssim = _write_eval(net, tcfg, out)
+    mean_psnr, mean_ssim = score_heldout(net, tcfg, out)
     print(f"final loss {result.epoch_losses[-1]:.6f}, eval PSNR {mean_psnr:.2f} dB, "
           f"SSIM {mean_ssim:.4f}")
     return EXIT_OK
@@ -219,12 +236,10 @@ def cmd_train(cfg: dict, out: Path) -> int:
 
 def cmd_eval(cfg: dict, out: Path) -> int:
     ckpt = cfg["eval.checkpoint"] or str(out / "checkpoint.ls3d")
-    spec = network_spec(cfg)
-    tcfg = train_config(cfg)
-    net = build_net(spec, seed=tcfg.seed)
+    net, tcfg = configured_net(cfg)
     load_checkpoint(ckpt, net)
     print(f"loaded {ckpt}")
-    mean_psnr, mean_ssim = _write_eval(net, tcfg, out)
+    mean_psnr, mean_ssim = score_heldout(net, tcfg, out)
     print(f"eval PSNR {mean_psnr:.2f} dB, SSIM {mean_ssim:.4f}")
     return EXIT_OK
 
@@ -268,18 +283,17 @@ def cmd_gradcheck(cfg: dict, out: Path) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def _run_blocks(args) -> tuple[float, float]:
-    cfg, blocks, seed = args
-    spec = network_spec(cfg, ls3d_blocks=blocks)
-    tcfg = train_config(cfg)
-    tcfg.seed = seed
-    net = build_net(spec, seed=seed)
+def train_and_score(cfg: dict) -> tuple[float, float]:
+    """Train the configured net from its initialisation; its held-out
+    mean (PSNR, SSIM)."""
+    net, tcfg = configured_net(cfg)
     train_loop(net, tcfg)
-    return mean_quality(evaluate(net, heldout_set(tcfg)))
+    return score_heldout(net, tcfg)
 
 
-def map_in_workers(fn, args, workers: int) -> list:
-    """list(map(fn, args)) over `workers` spawned processes, one BLAS thread each.
+def map_in_workers(fn, args: list, workers: int) -> list:
+    """list(map(fn, args)) over up to `workers` spawned processes, one BLAS
+    thread each.
 
     A forked worker would inherit this process's BLAS thread pool, whose
     extra threads only compete with the other workers. A spawned worker
@@ -290,7 +304,7 @@ def map_in_workers(fn, args, workers: int) -> list:
     saved = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        with ProcessPoolExecutor(max_workers=workers,
+        with ProcessPoolExecutor(max_workers=min(workers, len(args)),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             return list(pool.map(fn, args))
     finally:
@@ -301,30 +315,33 @@ def map_in_workers(fn, args, workers: int) -> list:
 
 
 def cmd_ablate(cfg: dict, out: Path, threads: int) -> int:
+    """Train every variant over ablate.seeds seeds and write ablation.csv.
+
+    Every training runs in a spawned worker with one BLAS thread, `threads`
+    of them at a time, so the scores do not depend on `threads` or on this
+    process's BLAS thread count.
+    """
     seeds = [cfg["train.seed"] + i for i in range(cfg["ablate.seeds"])]
-    runs = [(variant, blocks, seed) for variant, blocks in ABLATION_VARIANTS for seed in seeds]
-    jobs = list(dict.fromkeys((blocks, seed) for _, blocks, seed in runs))
-    args = [(cfg, blocks, seed) for blocks, seed in jobs]
-    mapped = map_in_workers(_run_blocks, args, threads) if threads > 1 else map(_run_blocks, args)
-    scores = dict(zip(jobs, mapped))
-    for variant, blocks, seed in runs:
-        p, s = scores[blocks, seed]
+    runs = [(variant, seed, apply_overrides(cfg, [*overrides, f"train.seed={seed}"]))
+            for variant, overrides in ABLATION_VARIANTS for seed in seeds]
+    jobs = {config_text(run): run for _, _, run in runs}
+    scores = dict(zip(jobs, map_in_workers(train_and_score, list(jobs.values()), threads)))
+    table = {}
+    for variant, seed, run in runs:
+        p, s = scores[config_text(run)]
+        table.setdefault(variant, []).append((p, s))
         print(f"variant {variant:10s} seed {seed}: PSNR {p:.2f} dB, SSIM {s:.4f}")
 
-    table = []
-    for variant, blocks in ABLATION_VARIANTS:
-        vruns = [scores[blocks, seed] for seed in seeds]
-        psnr_m = sum(p for p, _ in vruns) / len(vruns)
-        ssim_m = sum(s for _, s in vruns) / len(vruns)
-        table.append((variant, psnr_m, ssim_m))
-        print(f"variant {variant:10s} mean over {len(vruns)} seeds: "
-              f"PSNR {psnr_m:.2f} dB, SSIM {ssim_m:.4f}")
     path = out / "ablation.csv"
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["variant", "psnr_db", "ssim"])
-        for variant, p, s in table:
-            writer.writerow([variant, repr(p), repr(s)])
+        for variant, vruns in table.items():
+            psnr_m = sum(p for p, _ in vruns) / len(vruns)
+            ssim_m = sum(s for _, s in vruns) / len(vruns)
+            print(f"variant {variant:10s} mean over {len(vruns)} seeds: "
+                  f"PSNR {psnr_m:.2f} dB, SSIM {ssim_m:.4f}")
+            writer.writerow([variant, repr(psnr_m), repr(ssim_m)])
     _announce(path)
     return EXIT_OK
 
@@ -346,10 +363,8 @@ def viz_coord(cfg: dict) -> tuple[int, int, int]:
 
 
 def cmd_viz(cfg: dict, out: Path) -> int:
-    spec = network_spec(cfg)
-    tcfg = train_config(cfg)
     coord = viz_coord(cfg)
-    net = build_net(spec, seed=tcfg.seed)
+    net, tcfg = configured_net(cfg)
     if cfg["viz.checkpoint"]:
         load_checkpoint(cfg["viz.checkpoint"], net)
         print(f"loaded {cfg['viz.checkpoint']}")
@@ -365,9 +380,8 @@ def cmd_viz(cfg: dict, out: Path) -> int:
 def cmd_bench(cfg: dict, out: Path) -> int:
     """Time the LS3D operator against the plain conv it replaces, forward and
     backward, at the input shape of the configured net's last residual block."""
-    spec = network_spec(cfg)
-    tcfg = train_config(cfg)
-    net = build_net(spec, seed=tcfg.seed)
+    net, tcfg = configured_net(cfg)
+    spec = net.spec
     # Input frames: the two end frames for interpolation, the clip for denoising.
     shape = (2 if spec.task == "interpolate" else tcfg.num_frames, tcfg.size, tcfg.size)
     last = max(i for i, layer in enumerate(net.layers) if isinstance(layer, ResBlock))
@@ -439,17 +453,16 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE", help="override one config key")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override train.seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel variant workers for ablate")
+    parser.add_argument("--threads", type=_count, default=1,
+                        help="ablate's worker processes, one BLAS thread each")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
-        if args.seed is not None:
-            cfg["train.seed"] = args.seed
+        seed = [] if args.seed is None else [f"train.seed={args.seed}"]
+        cfg = load_config(args.config, [*args.overrides, *seed])
         # Every NetworkSpec and TrainConfig rule, checked before any file is written.
         network_spec(cfg)
         train_config(cfg)

@@ -50,29 +50,32 @@ def save_named_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 def load_named_tensors(path) -> dict[str, np.ndarray]:
     """Read every tensor of a checkpoint; a damaged or foreign file raises
-    CheckpointError naming `path`."""
+    CheckpointError naming `path`.
+
+    Each member is read once, to its end: zipfile checks a member's CRC-32
+    only when a read reaches the end, and a member whose npy header
+    declares fewer bytes than it holds would otherwise never be read that
+    far.
+    """
     with open(path, "rb") as f:
-        # np.load reads a .npy file whole and meets any other file with
-        # advice to unpickle it; a checkpoint is always a zip archive.
+        # A checkpoint is always a zip archive that starts with one; zipfile
+        # alone would also open a zip appended to some other file.
         if f.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
             raise CheckpointError(f"{path}: not a numpy .npz archive")
         f.seek(0)
+        tensors = {}
         try:
-            with np.load(f, allow_pickle=False) as archive:
-                # zipfile checks a member's CRC-32 only when a read reaches
-                # the member's end, and a member whose npy header declares
-                # fewer bytes than it holds is never read that far.
-                bad = archive.zip.testzip()
-                if bad is not None:
-                    raise CheckpointError(f"{path}: member '{bad}' is damaged "
-                                          "(CRC-32 or header mismatch)")
-                tensors = {name: archive[name] for name in archive.files}
+            with zipfile.ZipFile(f) as archive:
+                for info in archive.infolist():
+                    name = info.filename.removesuffix(".npy")
+                    with archive.open(info) as member:
+                        tensors[name] = np.lib.format.read_array(member, allow_pickle=False)
+                        if member.read(1):
+                            raise CheckpointError(f"{path}: member '{name}' is damaged "
+                                                  "(bytes past its array)")
         except _DAMAGED as exc:
             raise CheckpointError(f"{path}: not a readable checkpoint "
                                   f"({type(exc).__name__}: {exc})") from exc
-    for name, arr in tensors.items():
-        if not isinstance(arr, np.ndarray):
-            raise CheckpointError(f"{path}: member '{name}' is not a .npy array")
     return tensors
 
 

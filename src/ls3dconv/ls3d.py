@@ -42,8 +42,8 @@ those four numbers per tap: the mask gradient is sum_j w_j * s_j, and the
 offset gradient is m times the bilinear kernel's derivative of the s_j.
 grad_x is the adjoint of the sampling, S^T @ g onto the padded frames,
 accumulated in float64: the same three arrays read as a CSC matrix are
-S^T, so it is one call of `csc_matvecs`, with no sort or transpose;
-grad_x is the interior of the result.
+S^T, so it is `csc_matvecs` on each block of sample rows in turn, with no
+sort or transpose; grad_x is the interior of the result.
 
 The two kernels come from scipy's `scipy/sparse/_sparsetools` extension,
 which `conv3d._sparsetools` loads from its file alone on first use and
@@ -262,30 +262,32 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
     # dL/dcolumns, one row per tap and point: the unmasked sample gradient.
     g_mod = (gy @ _gemm_weight(params.weight).T).reshape(-1, c_in)  # (N*T*P*K, C)
 
-    # Each corner dotted with g_mod over C, on the corners gathered again
-    # block by block. The mask and offset gradients are linear in these.
+    # Block by block: each corner gathered again and dotted with g_mod over
+    # C (the mask and offset gradients are linear in these), and the input
+    # gradient grad_frames += S^T @ g_mod in float64. The CSR arrays of S
+    # read as CSC are S^T, so no sort or transpose is needed; the kernel
+    # walks the sample rows in order, so the sum is that of one whole call.
+    m = _channels_last(masks).ravel()                                # (N*T*P*K,)
     s = np.empty((4, len(idx)), dtype=g_mod.dtype)
     corner = np.empty((min(_BLOCK, len(g_mod)), c_in), dtype=frames.dtype)
+    grad_frames = np.zeros((len(frames), c_in))
+    csc_matvecs = _sparsetools().csc_matvecs
     for block in _blocks(len(g_mod)):
         g_blk = g_mod[block]
         buf = corner[:len(g_blk)]
         for j in range(4):
             np.einsum("ic,ic->i", _gather(frames, idx[block, j], buf), g_blk,
                       out=s[j, block])
+        csc_matvecs(len(frames), len(g_blk), c_in, indptr[:len(g_blk) + 1], idx[block],
+                    (weights[block] * m[block, None]).astype(np.float64, copy=False),
+                    g_blk.astype(np.float64), grad_frames)
     s00, s01, s10, s11 = s
-    m = _channels_last(masks).ravel()                                # (N*T*P*K,)
     grad_masks = _channels_first(np.einsum("ij,ji->i", weights, s).reshape(-1, taps), grid)
     dr, dc = frac
     grad_offsets = np.stack([m * ((1 - dc) * (s10 - s00) + dc * (s11 - s01)),
                              m * ((1 - dr) * (s01 - s00) + dr * (s11 - s10))], axis=1)
     grad_offsets = _channels_first(grad_offsets.reshape(-1, 2 * taps), grid)
 
-    # Input gradient: grad_frames = S^T @ g_mod, in float64. The CSR arrays
-    # of S read as CSC are S^T, so no sort or transpose is needed.
-    grad_frames = np.zeros((len(frames), c_in))
-    _sparsetools().csc_matvecs(len(frames), len(idx), c_in, indptr, idx,
-                               (weights * m[:, None]).astype(np.float64, copy=False),
-                               g_mod.astype(np.float64, copy=False), grad_frames)
     pt = params.kernel[0] // 2
     grad_frames = grad_frames.reshape(n_, t_ + 2 * pt, h + 4, w + 4, c_in)
     grad_x = grad_frames[:, pt:pt + t_, 2:-2, 2:-2].transpose(0, 4, 1, 2, 3)

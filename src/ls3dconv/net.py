@@ -26,6 +26,9 @@ from .ls3d import Ls3dConv, num_taps
 from .tensor import relu_backward
 
 IN_CHANNELS = 3
+# H and W must be multiples of this: the encoder's two stride-2 convs halve
+# them, and the decoder's two doubles them back.
+SIZE_MULTIPLE = 4
 
 
 class Conv3dLayer:
@@ -188,9 +191,9 @@ class VINet:
         if x.ndim != 5 or x.shape[1] != IN_CHANNELS:
             raise ShapeError(f"input must be (N, {IN_CHANNELS}, T, H, W), got {x.shape}")
         n_, _, t_, h, w = x.shape
-        if h % 4 or w % 4:
-            raise ShapeError(f"H and W must be divisible by 4 (two stride-2 stages), "
-                             f"got H={h}, W={w}")
+        if h % SIZE_MULTIPLE or w % SIZE_MULTIPLE:
+            raise ShapeError(f"H and W must be divisible by {SIZE_MULTIPLE} (two stride-2 "
+                             f"stages), got H={h}, W={w}")
         if self.spec.task == "interpolate" and t_ != 2:
             raise ShapeError(f"interpolation expects T=2 input frames, got T={t_}")
 

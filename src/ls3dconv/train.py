@@ -2,16 +2,24 @@
 
 Training is fully deterministic given (config, seed): the dataset is a
 pure function of derived seeds, batches run in a fixed order, and the loss
-history is bit-identical from run to run. That holds whatever the BLAS
-thread count (OpenBLAS starts one thread per core unless
-OPENBLAS_NUM_THREADS says otherwise): a threaded GEMM splits its output
-between the threads, so every sum still runs in one fixed order. scipy's
-`csr_matvecs` and `csc_matvecs`, which sum the LS3D sampling and the
-strided transposed conv's overlap-add, are single-threaded and sum in a
-fixed order: row by row, and each row's entries in turn. A test compares
-loss.csv under one and two threads. Nor does it depend on the allocator
-setting made at import (`ls3dconv._keep_freed_pages`), which only decides
-whether freed memory goes back to the kernel.
+history is bit-identical from run to run at one BLAS thread count
+(OpenBLAS starts one thread per core unless OPENBLAS_NUM_THREADS says
+otherwise). scipy's `csr_matvecs` and `csc_matvecs`, which sum the LS3D
+sampling and the strided transposed conv's overlap-add, are
+single-threaded and sum in a fixed order: row by row, and each row's
+entries in turn.
+
+A plain net's loss history is also the same under any thread count, and
+a test compares loss.csv under one and two threads. A net with LS3D
+layers is not: of the GEMM shapes the 32-channel nets run, only those
+whose inner dimension is K = 27 * 81 = 2187 give other bits under two
+OpenBLAS threads than under one. That is the branch conv's stride-1 input
+gradient, which gathers 27 taps of its 81 output channels. The GEMMs with
+K = 32, 81 and 864 keep their bits. `ls3dconv ablate` trains every run in
+a worker process with one BLAS thread, so its table is the same whatever
+the thread count. Nor does training depend on the allocator setting made
+at import (`ls3dconv._keep_freed_pages`), which only decides whether
+freed memory goes back to the kernel.
 """
 
 from __future__ import annotations

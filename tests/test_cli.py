@@ -14,7 +14,7 @@ import pytest
 from ls3dconv import cli
 from ls3dconv.cli import (ABLATION_VARIANTS, EXIT_CONFIG, EXIT_IO, EXIT_OK,
                           EXIT_SHAPE, load_config, main, map_in_workers)
-from ls3dconv.errors import ConfigError
+from ls3dconv.errors import ConfigError, ShapeError
 from ls3dconv.fileio import load_named_tensors, save_named_tensors
 from ls3dconv.net import ResBlock, build_net
 from ls3dconv.train import make_dataset
@@ -166,7 +166,19 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert "data.size" in capsys.readouterr().err
         assert not out.exists()
-        assert load_config(None, ["data.size=11"])["data.size"] == 11
+        assert load_config(None, ["data.size=12"])["data.size"] == 12
+
+    @pytest.mark.parametrize("command, size", [("bench", 14), ("train", 30), ("viz", 11)])
+    def test_size_not_multiple_of_four_rejected_before_any_work(self, tmp_path, capsys,
+                                                                command, size):
+        """The net halves data.size twice and doubles it back: bench used to
+        time a shape no forward reaches, and train to exit 3 after making
+        --out."""
+        out = tmp_path / "out"
+        code = main([command, *TINY, "--set", f"data.size={size}", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "multiple of 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_key_is_read(self, tmp_path):
         """No key is accepted but never used: some command reads each one."""
@@ -219,9 +231,17 @@ class TestTrainCommand:
             csvs.append((out / "loss.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
-    def test_shape_error_exit_code(self, tmp_path):
-        code = main(["train", *TINY, "--set", "data.size=30", "--out", str(tmp_path)])
+    def test_shape_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        """A ShapeError raised while a command runs exits 3. No configuration
+        reaches one since data.size must be a multiple of 4, so one is raised
+        in the training loop's place."""
+        def mismatched(net, config, abort_checkpoint_path=None):
+            raise ShapeError("input must be (N, 3, T, H, W)")
+
+        monkeypatch.setattr(cli, "train_loop", mismatched)
+        code = main(["train", *TINY, "--out", str(tmp_path)])
         assert code == EXIT_SHAPE
+        assert "shape/task error: input must be" in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -322,18 +342,21 @@ class TestAblateCommand:
         assert [r["variant"] for r in rows] == [v for v, _ in ABLATION_VARIANTS]
 
     def test_shared_block_set_trained_once(self, tmp_path, monkeypatch):
-        """res5,6 and 2-LS3D share blocks 5,6: 6 trainings per seed, not 7."""
-        calls = []
-        real = cli.train_loop
+        """res5,6 and 2-LS3D resolve to one config: 6 trainings per seed, not 7.
+        The trainings run in spawned workers, so the configs handed to the
+        pool are what is counted."""
+        jobs = []
+        real = cli.map_in_workers
 
-        def counting(net, config):
-            calls.append(config.seed)
-            return real(net, config)
+        def counting(fn, args, workers):
+            jobs.extend(args)
+            return real(fn, args, workers)
 
-        monkeypatch.setattr(cli, "train_loop", counting)
+        monkeypatch.setattr(cli, "map_in_workers", counting)
         code = main(["ablate", *TINY, "--set", "ablate.seeds=2", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        assert len(calls) == 12
+        assert len(jobs) == 12
+        assert sorted(job["train.seed"] for job in jobs) == [0] * 6 + [1] * 6
         with open(tmp_path / "ablation.csv") as f:
             rows = {r["variant"]: r for r in csv.DictReader(f)}
         assert len(rows) == 7
@@ -349,6 +372,36 @@ class TestAblateCommand:
         parallel = (tmp_path / "2" / "ablation.csv").read_bytes()
         assert parallel == (tmp_path / "1" / "ablation.csv").read_bytes()
         assert len(parallel.decode().splitlines()) == 1 + 7
+
+    def test_ablation_csv_independent_of_blas_threads(self, tmp_path):
+        """At 32 channels the LS3D branch conv's input-gradient GEMM (K = 2187)
+        rounds differently under one and two BLAS threads. Every training runs
+        in a one-BLAS-thread worker, so --threads 1 and --threads 2 write the
+        same ablation.csv bytes even in a process with two BLAS threads."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "ls3dconv", "ablate", "--set", "ablate.seeds=1",
+                 "--set", "train.epochs=1", "--set", "train.clips=4",
+                 "--set", "train.eval_clips=2", "--set", "train.eval_every=0",
+                 "--threads", threads, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            csvs.append((out / "ablation.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_zero_threads_rejected(self, tmp_path, capsys):
+        """--threads counts worker processes: zero would leave none to train."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", *TINY, "--threads", "0", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workers_get_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")

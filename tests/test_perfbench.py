@@ -1,9 +1,9 @@
 """The benchmark runs end to end against the library and its checks hold.
 
-A short traced run per LS3D workload exercises everything the benchmark
-relies on: set-up that reaches into `Ls3dConv`'s branches, the patched
-module functions, the saved forward state that the work counts unpack,
-and the independent correctness checks.
+A short traced run per workload exercises everything the benchmark relies
+on: set-up that reaches into `Ls3dConv`'s branches, the patched module
+functions, the saved forward state of the LS3D and plain convs that the
+work counts unpack, and the independent correctness checks.
 """
 
 import json
@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["denoise-infer", "train-ls3d"])
+@pytest.mark.parametrize("workload", ["denoise-infer", "train-ls3d", "train-plain"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",

@@ -347,6 +347,19 @@ class TestCheckpoint:
             load_checkpoint(path, fresh)
         assert_params_equal(fresh, before)
 
+    def test_bytes_past_declared_array_rejected(self, tmp_path):
+        """A member whose npy header declares fewer elements than it holds,
+        under a sound CRC-32, is damaged: the values past the header's
+        count would otherwise be dropped without a word."""
+        path = tmp_path / "ck.ls3d"
+        save_named_tensors(path, {"a": np.arange(3, dtype=np.float32)})
+        with zipfile.ZipFile(path) as archive:
+            data = archive.read("a.npy")
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("a.npy", data.replace(b"(3,)", b"(2,)"))
+        with pytest.raises(CheckpointError, match="bytes past its array"):
+            load_named_tensors(path)
+
     @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**32 - 1, 2**32 - 1, 0)],
                              ids=["wraps_int64", "zero_sized"])
     def test_dims_past_int64_rejected(self, tmp_path, dims):
