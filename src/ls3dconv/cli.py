@@ -12,6 +12,7 @@ Exit codes: 0 ok, 2 config error, 3 shape/task error, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import multiprocessing
 import os
@@ -50,24 +51,26 @@ def _count(raw: str) -> int:
     return value
 
 
-# key -> (parser, default). Defaults are the desk-scale experiment setup.
+# key -> (parser, default). The net, training and data defaults are those of
+# NetworkSpec and TrainConfig, the desk-scale experiment setup.
 SCHEMA: dict = {
-    "net.channels": (int, 32),
-    "net.ls3d_blocks": (str, ""),            # "", "all", or "1,2,..."
-    "net.task": (str, "interpolate"),
-    "train.epochs": (_count, 10),
-    "train.batch_size": (_count, 2),
-    "train.learning_rate": (float, 1e-3),
-    "train.seed": (int, 0),
-    "train.eval_every": (int, 5),
-    "train.clips": (_count, 16),
-    "train.eval_clips": (_count, 8),
-    "train.grad_clip": (float, 10.0),
-    "data.size": (int, 32),
-    "data.num_frames": (int, 5),
-    "data.motion": (float, 4.0),
-    "data.num_objects": (int, 2),
-    "data.noise_sigma": (float, 0.0),
+    "net.channels": (int, NetworkSpec.channels),
+    # "", "all", or "1,2,...": the residual blocks whose first conv is LS3D
+    "net.ls3d_blocks": (str, ",".join(map(str, sorted(NetworkSpec.ls3d_block_indices)))),
+    "net.task": (str, NetworkSpec.task),
+    "train.epochs": (_count, TrainConfig.epochs),
+    "train.batch_size": (_count, TrainConfig.batch_size),
+    "train.learning_rate": (float, TrainConfig.learning_rate),
+    "train.seed": (int, TrainConfig.seed),
+    "train.eval_every": (int, TrainConfig.eval_every),
+    "train.clips": (_count, TrainConfig.clips),
+    "train.eval_clips": (_count, TrainConfig.eval_clips),
+    "train.grad_clip": (float, TrainConfig.grad_clip),
+    "data.size": (int, TrainConfig.size),
+    "data.num_frames": (_count, TrainConfig.num_frames),
+    "data.motion": (float, TrainConfig.motion),
+    "data.num_objects": (int, TrainConfig.num_objects),
+    "data.noise_sigma": (float, TrainConfig.noise_sigma),
     "eval.checkpoint": (str, ""),
     "viz.checkpoint": (str, ""),
     "viz.frame": (int, -1),                   # -1: middle output frame
@@ -104,6 +107,21 @@ def _set_key(cfg: dict, key: str, raw: str, where: str) -> None:
         raise ConfigError(f"bad value for '{key}': {raw.strip()} ({exc})") from exc
 
 
+def parse_config(text: str, where: str) -> dict:
+    """The keys that config text sets, each parsed by SCHEMA; a ConfigError
+    names `where` and the line."""
+    cfg: dict = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where}:{lineno}: expected 'key = value', got '{line}'")
+        key, raw = line.split("=", 1)
+        _set_key(cfg, key, raw, f"{where}:{lineno}")
+    return cfg
+
+
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     """A copy of cfg with each `key=value` of overrides set as `--set` sets
     it, checked against the rules that join several keys."""
@@ -113,8 +131,8 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"--set expects key=value, got '{item}'")
         key, raw = item.split("=", 1)
         _set_key(cfg, key, raw, "--set")
-    for key, used in (("data.num_frames", 5), ("data.noise_sigma", 0.0)):
-        if cfg["net.task"] == "interpolate" and cfg[key] != used:
+    for key in ("data.num_frames", "data.noise_sigma"):
+        if cfg["net.task"] == "interpolate" and cfg[key] != SCHEMA[key][1]:
             raise ConfigError(f"{key} = {cfg[key]} has no effect on net.task = interpolate, "
                               "which always uses clean 5-frame clips")
     if cfg["data.size"] < SSIM_WINDOW:
@@ -123,6 +141,11 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     if cfg["data.size"] % SIZE_MULTIPLE:
         raise ConfigError(f"data.size = {cfg['data.size']} is not a multiple of "
                           f"{SIZE_MULTIPLE}: the net halves it twice and doubles it back")
+    # ClipSpec's bound and slack, which it checks only as the first clip is drawn.
+    bound = cfg["data.size"] / cfg["data.num_frames"]
+    if cfg["data.motion"] > bound + 1e-9:
+        raise ConfigError(f"data.motion = {cfg['data.motion']} exceeds data.size / "
+                          f"data.num_frames = {bound:.3g} pixels a frame")
     if cfg["net.task"] == "denoise" and cfg["data.noise_sigma"] <= 0:
         raise ConfigError("net.task = denoise needs data.noise_sigma > 0: on clean clips "
                           "the identity is the best denoiser")
@@ -133,17 +156,12 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = {key: default for key, (_, default) in SCHEMA.items()}
     if path:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
-            key, raw = line.split("=", 1)
-            _set_key(cfg, key, raw, f"{path}:{lineno}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text ({exc})") from exc
+        cfg.update(parse_config(text, path))
     return apply_overrides(cfg, overrides)
 
 
@@ -234,11 +252,36 @@ def cmd_train(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
+def note_config_differences(cfg: dict, echo: str, ckpt) -> None:
+    """Print a note for each net.* and data.* key whose value differs from
+    the one in the checkpoint's config echo, or one note if the echo holds
+    no configuration."""
+    try:
+        saved = parse_config(echo, f"{ckpt} config echo")
+    except ConfigError:
+        saved = {}
+    if not saved:
+        print(f"note: {ckpt} holds no configuration; its net.* and data.* settings "
+              "are not compared")
+        return
+    for key, value in sorted(saved.items()):
+        if not key.startswith(("net.", "data.")):
+            continue
+        differs = value != cfg[key]
+        if key == "net.ls3d_blocks" and differs:
+            # "all" and "1,2,3,4,5,6" name the same net.
+            with contextlib.suppress(ConfigError):
+                differs = _parse_block_set(value) != _parse_block_set(cfg[key])
+        if differs:
+            print(f"note: {key} = {cfg[key]}, but {ckpt} was trained with {value}")
+
+
 def cmd_eval(cfg: dict, out: Path) -> int:
     ckpt = cfg["eval.checkpoint"] or str(out / "checkpoint.ls3d")
     net, tcfg = configured_net(cfg)
-    load_checkpoint(ckpt, net)
+    _, echo = load_checkpoint(ckpt, net)
     print(f"loaded {ckpt}")
+    note_config_differences(cfg, echo, ckpt)
     mean_psnr, mean_ssim = score_heldout(net, tcfg, out)
     print(f"eval PSNR {mean_psnr:.2f} dB, SSIM {mean_ssim:.4f}")
     return EXIT_OK
@@ -314,18 +357,20 @@ def map_in_workers(fn, args: list, workers: int) -> list:
             os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
-def cmd_ablate(cfg: dict, out: Path, threads: int) -> int:
+def cmd_ablate(cfg: dict, out: Path) -> int:
     """Train every variant over ablate.seeds seeds and write ablation.csv.
 
-    Every training runs in a spawned worker with one BLAS thread, `threads`
-    of them at a time, so the scores do not depend on `threads` or on this
+    Every training runs in a spawned worker with one BLAS thread, one worker
+    per core this process may run on (its affinity mask, so `taskset`
+    limits the pool). The scores depend on neither the pool size nor this
     process's BLAS thread count.
     """
     seeds = [cfg["train.seed"] + i for i in range(cfg["ablate.seeds"])]
     runs = [(variant, seed, apply_overrides(cfg, [*overrides, f"train.seed={seed}"]))
             for variant, overrides in ABLATION_VARIANTS for seed in seeds]
     jobs = {config_text(run): run for _, _, run in runs}
-    scores = dict(zip(jobs, map_in_workers(train_and_score, list(jobs.values()), threads)))
+    workers = len(os.sched_getaffinity(0))
+    scores = dict(zip(jobs, map_in_workers(train_and_score, list(jobs.values()), workers)))
     table = {}
     for variant, seed, run in runs:
         p, s = scores[config_text(run)]
@@ -366,8 +411,9 @@ def cmd_viz(cfg: dict, out: Path) -> int:
     coord = viz_coord(cfg)
     net, tcfg = configured_net(cfg)
     if cfg["viz.checkpoint"]:
-        load_checkpoint(cfg["viz.checkpoint"], net)
+        _, echo = load_checkpoint(cfg["viz.checkpoint"], net)
         print(f"loaded {cfg['viz.checkpoint']}")
+        note_config_differences(cfg, echo, cfg["viz.checkpoint"])
     sample = make_dataset(tcfg, 1, seed_base=700_007)[0]
     smap = sampling_map(net, sample.inputs.astype(np.float64), coord)
     if smap.all_zero:
@@ -442,27 +488,26 @@ def cmd_bench(cfg: dict, out: Path) -> int:
 
 # --- entry point ---------------------------------------------------------------
 
+COMMANDS = {"train": cmd_train, "eval": cmd_eval, "gradcheck": cmd_gradcheck,
+            "ablate": cmd_ablate, "viz": cmd_viz, "bench": cmd_bench}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ls3dconv",
         description="learnable-sampling 3D convolution experiments")
-    parser.add_argument("command",
-                        choices=["train", "eval", "gradcheck", "ablate", "viz", "bench"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override train.seed")
-    parser.add_argument("--threads", type=_count, default=1,
-                        help="ablate's worker processes, one BLAS thread each")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        seed = [] if args.seed is None else [f"train.seed={args.seed}"]
-        cfg = load_config(args.config, [*args.overrides, *seed])
+        cfg = load_config(args.config, args.overrides)
         # Every NetworkSpec and TrainConfig rule, checked before any file is written.
         network_spec(cfg)
         train_config(cfg)
@@ -471,17 +516,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         echo_config(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, out)
-        if args.command == "eval":
-            return cmd_eval(cfg, out)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, out)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, out, args.threads)
-        if args.command == "viz":
-            return cmd_viz(cfg, out)
-        return cmd_bench(cfg, out)
+        return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

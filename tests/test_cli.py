@@ -17,7 +17,7 @@ from ls3dconv.cli import (ABLATION_VARIANTS, EXIT_CONFIG, EXIT_IO, EXIT_OK,
 from ls3dconv.errors import ConfigError, ShapeError
 from ls3dconv.fileio import load_named_tensors, save_named_tensors
 from ls3dconv.net import ResBlock, build_net
-from ls3dconv.train import make_dataset
+from ls3dconv.train import make_dataset, save_checkpoint
 
 TINY = [
     "--set", "net.channels=4",
@@ -76,8 +76,8 @@ class TestConfig:
             assert code == EXIT_CONFIG
             assert key in capsys.readouterr().err
         cfg = load_config(None, ["net.task=denoise", "data.noise_sigma=25",
-                                 "data.num_frames=9"])
-        assert cfg["data.num_frames"] == 9
+                                 "data.num_frames=7"])
+        assert cfg["data.num_frames"] == 7
 
     def test_denoise_without_noise_rejected(self, tmp_path, capsys):
         """On clean clips the identity is the best denoiser, so there is
@@ -126,10 +126,13 @@ class TestConfig:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [["--seed", "-1"], ["--set", "train.seed=-1"]])
-    def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("args", [["--config", "seed.cfg"], ["--set", "train.seed=-1"]])
+    def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    args):
         """numpy seeds are non-negative: a negative one used to fail in the
         first random draw, with a traceback and an empty --out left behind."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "seed.cfg").write_text("train.seed = -1\n")
         out = tmp_path / "out"
         code = main(["train", *TINY, *args, "--out", str(out)])
         assert code == EXIT_CONFIG
@@ -166,7 +169,7 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert "data.size" in capsys.readouterr().err
         assert not out.exists()
-        assert load_config(None, ["data.size=12"])["data.size"] == 12
+        assert load_config(None, ["data.size=12", "data.motion=2"])["data.size"] == 12
 
     @pytest.mark.parametrize("command, size", [("bench", 14), ("train", 30), ("viz", 11)])
     def test_size_not_multiple_of_four_rejected_before_any_work(self, tmp_path, capsys,
@@ -178,6 +181,46 @@ class TestConfig:
         code = main([command, *TINY, "--set", f"data.size={size}", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "multiple of 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, size", [("train", 16), ("viz", 12), ("bench", 16)])
+    def test_motion_above_clip_bound_rejected_before_any_work(self, tmp_path, capsys,
+                                                              command, size):
+        """An object moves at most data.size / data.num_frames pixels a frame:
+        the default 4 is too fast at 16 (bound 3.2) and 12 (2.4). train and
+        viz used to exit 3 on the first clip, leaving an empty --out."""
+        out = tmp_path / "out"
+        code = main([command, *TINY, "--set", f"data.size={size}", "--set", "data.motion=4",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "data.motion = 4.0 exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_frames_rejected_before_any_work(self, tmp_path, capsys):
+        """A denoise clip of no frames used to exit 3 on the first clip,
+        leaving an empty --out."""
+        out = tmp_path / "out"
+        code = main(["train", *TINY, "--set", "net.task=denoise", "--set", "data.noise_sigma=25",
+                     "--set", "data.num_frames=0", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "data.num_frames" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_motion_at_clip_bound_trains(self, tmp_path):
+        """Motion equal to data.size / data.num_frames is allowed, as ClipSpec allows it."""
+        code = main(["train", *TINY, "--set", "data.size=20", "--set", "data.motion=4",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+
+    def test_non_utf8_config_file_rejected_before_any_work(self, tmp_path, capsys):
+        """A config file that is not UTF-8 used to end in a UnicodeDecodeError
+        traceback, exit 1."""
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"net.channels = 8\n# \xff\n")
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"config file {path} is not UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
     def test_every_key_is_read(self, tmp_path):
@@ -193,13 +236,13 @@ class TestConfig:
         cfg = Recording(load_config(None, [*overrides, "ablate.seeds=1", "bench.repeats=1"]))
         for cmd in (cli.cmd_train, cli.cmd_eval, cli.cmd_viz, cli.cmd_bench):
             assert cmd(cfg, tmp_path) == EXIT_OK
-        assert cli.cmd_ablate(cfg, tmp_path, threads=1) == EXIT_OK
+        assert cli.cmd_ablate(cfg, tmp_path) == EXIT_OK
         assert set(cli.SCHEMA) - read == set()
 
 
 class TestTrainCommand:
     def test_artifacts_and_echo(self, tmp_path, capsys):
-        code = main(["train", *TINY, "--out", str(tmp_path), "--seed", "1"])
+        code = main(["train", *TINY, "--out", str(tmp_path), "--set", "train.seed=1"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "# resolved configuration" in out
@@ -210,8 +253,8 @@ class TestTrainCommand:
 
     def test_determinism_byte_identical_loss_csv(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["train", *TINY, "--out", str(a), "--seed", "5"]) == EXIT_OK
-        assert main(["train", *TINY, "--out", str(b), "--seed", "5"]) == EXIT_OK
+        assert main(["train", *TINY, "--out", str(a), "--set", "train.seed=5"]) == EXIT_OK
+        assert main(["train", *TINY, "--out", str(b), "--set", "train.seed=5"]) == EXIT_OK
         assert (a / "loss.csv").read_bytes() == (b / "loss.csv").read_bytes()
 
     def test_loss_csv_independent_of_blas_threads(self, tmp_path):
@@ -225,7 +268,7 @@ class TestTrainCommand:
                    "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             proc = subprocess.run(
                 [sys.executable, "-m", "ls3dconv", "train", *TINY, "--set", "net.channels=32",
-                 "--seed", "3", "--out", str(out)],
+                 "--set", "train.seed=3", "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=600)
             assert proc.returncode == EXIT_OK, proc.stderr
             csvs.append((out / "loss.csv").read_bytes())
@@ -253,8 +296,8 @@ class TestEvalCommand:
     def test_eval_csv_matches_train(self, tmp_path):
         """train and eval score the same held-out set the same way."""
         trained, evaluated = tmp_path / "train", tmp_path / "eval"
-        assert main(["train", *TINY, "--out", str(trained), "--seed", "1"]) == EXIT_OK
-        code = main(["eval", *TINY, "--out", str(evaluated), "--seed", "1",
+        assert main(["train", *TINY, "--out", str(trained), "--set", "train.seed=1"]) == EXIT_OK
+        code = main(["eval", *TINY, "--out", str(evaluated), "--set", "train.seed=1",
                      "--set", f"eval.checkpoint={trained / 'checkpoint.ls3d'}"])
         assert code == EXIT_OK
         assert (trained / "eval.csv").read_bytes() == (evaluated / "eval.csv").read_bytes()
@@ -316,6 +359,45 @@ class TestEvalCommand:
         assert "'step'" in capsys.readouterr().err
         assert not (tmp_path / "eval.csv").exists()
 
+    @pytest.mark.parametrize("trained, evaluated, notes", [
+        ([], [], []),
+        ([], ["data.size=20"], ["data.size = 20, but {ckpt} was trained with 16"]),
+        ([], ["data.motion=1", "data.num_objects=3"],
+         ["data.motion = 1.0, but {ckpt} was trained with 2.0",
+          "data.num_objects = 3, but {ckpt} was trained with 2"]),
+        (["net.ls3d_blocks=all"], ["net.ls3d_blocks=1,2,3,4,5,6"], []),
+    ], ids=["same", "size", "motion_and_objects", "same_blocks_spelt_otherwise"])
+    def test_settings_unlike_checkpoint_noted(self, tmp_path, capsys, trained, evaluated,
+                                              notes):
+        """eval scores the held-out set its own data.* settings draw. A note
+        names each net.* and data.* setting that differs from the one the
+        checkpoint was trained with; exit code and eval.csv are as before."""
+        ckpt = tmp_path / "train" / "checkpoint.ls3d"
+        sets = [[arg for item in items for arg in ("--set", item)]
+                for items in (trained, evaluated)]
+        assert main(["train", *TINY, *sets[0], "--out", str(ckpt.parent)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["eval", *TINY, *sets[1], "--set", f"eval.checkpoint={ckpt}",
+                     "--out", str(tmp_path / "eval")])
+        assert code == EXIT_OK
+        assert (tmp_path / "eval" / "eval.csv").exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if l.startswith("note:")] == \
+            [f"note: {note.format(ckpt=ckpt)}" for note in notes]
+
+    @pytest.mark.parametrize("echo", ["diverged", ""], ids=["diverged", "library_saved"])
+    def test_checkpoint_without_configuration_noted(self, tmp_path, capsys, echo):
+        """The divergence abort checkpoint and one saved through the library
+        without an echo record no settings to compare."""
+        ckpt = tmp_path / "checkpoint.ls3d"
+        net, _ = cli.configured_net(load_config(None, TINY[1::2]))
+        save_checkpoint(ckpt, net, config_echo=echo)
+        assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if l.startswith("note:")] == \
+            [f"note: {ckpt} holds no configuration; its net.* and data.* settings "
+             "are not compared"]
+
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         code = main(["eval", *TINY, "--out", str(tmp_path),
                      "--set", "eval.checkpoint=/nonexistent.ls3d"])
@@ -363,45 +445,58 @@ class TestAblateCommand:
         assert rows["res5,6"]["psnr_db"] == rows["2-LS3D"]["psnr_db"]
         assert rows["res5,6"]["ssim"] == rows["2-LS3D"]["ssim"]
 
-    def test_parallel_matches_variant_list(self, tmp_path):
-        """--threads 2 writes the same ablation.csv bytes as --threads 1."""
-        for threads in ("1", "2"):
-            code = main(["ablate", *TINY, "--set", "ablate.seeds=1", "--threads", threads,
-                         "--out", str(tmp_path / threads)])
+    def test_parallel_matches_variant_list(self, tmp_path, monkeypatch):
+        """A pool of two workers writes the same ablation.csv bytes as a pool of one."""
+        for cores in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            code = main(["ablate", *TINY, "--set", "ablate.seeds=1",
+                         "--out", str(tmp_path / str(cores))])
             assert code == EXIT_OK
         parallel = (tmp_path / "2" / "ablation.csv").read_bytes()
         assert parallel == (tmp_path / "1" / "ablation.csv").read_bytes()
         assert len(parallel.decode().splitlines()) == 1 + 7
 
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_pool_sized_from_affinity(self, tmp_path, monkeypatch, cores):
+        """ablate runs one worker per core of this process's affinity mask."""
+        pools = []
+        real = cli.map_in_workers
+
+        def recording(fn, args, workers):
+            pools.append(workers)
+            return real(fn, args, workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(cli, "map_in_workers", recording)
+        code = main(["ablate", *TINY, "--set", "ablate.seeds=1", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert pools == [cores]
+
     def test_ablation_csv_independent_of_blas_threads(self, tmp_path):
         """At 32 channels the LS3D branch conv's input-gradient GEMM (K = 2187)
         rounds differently under one and two BLAS threads. Every training runs
-        in a one-BLAS-thread worker, so --threads 1 and --threads 2 write the
+        in a one-BLAS-thread worker, so pools of one and two workers write the
         same ablation.csv bytes even in a process with two BLAS threads."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # The pool size is set in the child by its affinity mask, which is
+        # replaced there so that two workers run even on a one-core host.
+        run = ("import os, sys; cores = int(sys.argv.pop(1)); "
+               "os.sched_getaffinity = lambda pid: set(range(cores)); "
+               "from ls3dconv.cli import main; sys.exit(main(sys.argv[1:]))")
         csvs = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
+        for cores in ("1", "2"):
+            out = tmp_path / cores
             proc = subprocess.run(
-                [sys.executable, "-m", "ls3dconv", "ablate", "--set", "ablate.seeds=1",
+                [sys.executable, "-c", run, cores, "ablate", "--set", "ablate.seeds=1",
                  "--set", "train.epochs=1", "--set", "train.clips=4",
                  "--set", "train.eval_clips=2", "--set", "train.eval_every=0",
-                 "--threads", threads, "--out", str(out)],
+                 "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=600)
             assert proc.returncode == EXIT_OK, proc.stderr
             csvs.append((out / "ablation.csv").read_bytes())
         assert csvs[0] == csvs[1]
-
-    def test_zero_threads_rejected(self, tmp_path, capsys):
-        """--threads counts worker processes: zero would leave none to train."""
-        out = tmp_path / "out"
-        with pytest.raises(SystemExit) as exc:
-            main(["ablate", *TINY, "--threads", "0", "--out", str(out)])
-        assert exc.value.code == EXIT_CONFIG
-        assert "--threads" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_workers_get_one_blas_thread(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -420,6 +515,17 @@ class TestVizCommand:
         assert (tmp_path / "sampling_top50.csv").exists()
         for p in pgms:
             assert str(p) in out
+
+    def test_settings_unlike_checkpoint_noted(self, tmp_path, capsys):
+        ckpt = tmp_path / "checkpoint.ls3d"
+        assert main(["train", *TINY, "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["viz", *TINY, "--set", "data.motion=1",
+                     "--set", f"viz.checkpoint={ckpt}", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if l.startswith("note:")] == \
+            [f"note: data.motion = 1.0, but {ckpt} was trained with 2.0"]
 
     @pytest.mark.parametrize("key, value", [("viz.frame", 5), ("viz.row", 16),
                                             ("viz.col", -2)])

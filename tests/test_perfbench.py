@@ -7,6 +7,7 @@ work counts unpack, and the independent correctness checks.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +18,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("workload", ["denoise-infer", "train-ls3d", "train-plain"])
-def test_traced_run_is_correct(workload):
+def test_traced_run_is_correct(tmp_path, workload):
+    # A traced run writes its spans under perfbench/out/, so it runs on a
+    # copy and leaves the checkout as it was.
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0.1", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=600)
+        cwd=tmp_path, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
