@@ -33,6 +33,7 @@ from .net import (SIZE_MULTIPLE, Conv3dLayer, NetworkSpec, ResBlock, VINet, buil
 from .train import (TrainConfig, evaluate, heldout_set, load_checkpoint, make_dataset,
                     mean_quality, save_checkpoint, train_loop, write_loss_csv)
 from .metrics import SSIM_WINDOW, write_eval_csv
+from .tensor import distinct_nbytes
 from .viz import emit_map_image, sampling_map
 
 EXIT_OK = 0
@@ -464,24 +465,30 @@ def cmd_bench(cfg: dict, out: Path) -> int:
 
     _, conv_ctx = conv3d_forward(x, params)
     _, ls3d_ctx = ls3d_forward(x, params, offsets, masks)
-    ops = [("conv3d_forward", lambda: conv3d_forward(x, params), macs),
-           ("conv3d_backward", lambda: conv3d_backward(conv_ctx, grad_y), 2 * macs),
-           ("ls3d_forward", lambda: ls3d_forward(x, params, offsets, masks), macs),
-           ("ls3d_backward", lambda: ls3d_backward(ls3d_ctx, grad_y), 2 * macs)]
+    # Last field: the MB of distinct arrays a forward's ctx keeps for the
+    # backward, not counting the weights; a backward keeps nothing.
+    ops = [("conv3d_forward", lambda: conv3d_forward(x, params), macs,
+            distinct_nbytes(conv_ctx) / 1e6),
+           ("conv3d_backward", lambda: conv3d_backward(conv_ctx, grad_y), 2 * macs, None),
+           ("ls3d_forward", lambda: ls3d_forward(x, params, offsets, masks), macs,
+            distinct_nbytes(ls3d_ctx) / 1e6),
+           ("ls3d_backward", lambda: ls3d_backward(ls3d_ctx, grad_y), 2 * macs, None)]
     rows = []
-    for name, fn, op_macs in ops:
+    for name, fn, op_macs, saved_mb in ops:
         secs, faults = timeit(fn)
-        rows.append((name, secs, 1.0 / secs, op_macs / secs, faults))
+        rows.append((name, secs, 1.0 / secs, op_macs / secs, faults, saved_mb))
     print(f"shape ({n},{c},{t},{h},{w}), kernel 3x3x3, best of {repeats}")
-    for name, secs, calls, mps, faults in rows:
+    for name, secs, calls, mps, faults, saved_mb in rows:
+        saved = "" if saved_mb is None else f"  {saved_mb:8.3f} MB saved"
         print(f"{name:15s} {secs * 1e3:9.2f} ms/call  {calls:8.2f} calls/s  "
-              f"{mps / 1e6:9.1f} MMAC/s  {faults:8.1f} minor faults/call")
+              f"{mps / 1e6:9.1f} MMAC/s  {faults:8.1f} minor faults/call{saved}")
     path = out / "bench.csv"
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["op", "seconds_per_call", "calls_per_sec", "mac_per_sec",
-                         "minor_faults_per_call"])
-        writer.writerows([name, *map(repr, values)] for name, *values in rows)
+                         "minor_faults_per_call", "saved_mb"])
+        writer.writerows([name, *("" if v is None else repr(v) for v in values)]
+                         for name, *values in rows)
     _announce(path)
     return EXIT_OK
 

@@ -20,11 +20,13 @@ The operator is one deformable column buffer and one GEMM, the
 
 * The input is laid out as conv3d lays it out: channels last, zero-padded
   by K_t//2 frames in time and by 2 rows and columns in space.
-* One vector pass computes the four bilinear corner rows and weights of
-  every tap at every output point. Each top-left corner is clamped to
-  rows -2..H and columns -2..W before its integer cast; one with no read
-  inside the frame still has none, and lands in the zero border. So a
-  plain row read gives zero outside the input, and no mask is needed.
+* One vector pass computes the top-left corner row and the fractional
+  parts (dr, dc) of every tap at every output point; the other three
+  corner rows are fixed steps from it, and the four bilinear weights
+  products of dr and dc. Each top-left corner is clamped to rows -2..H
+  and columns -2..W before its integer cast; one with no read inside the
+  frame still has none, and lands in the zero border. So a plain row
+  read gives zero outside the input, and no mask is needed.
 * The sampling is a sparse matrix S, one row per tap and output point
   with its four corners as entries, and as in DCNv2 the mask is folded
   into their bilinear weights (w_j * m). The column buffer
@@ -34,16 +36,21 @@ The operator is one deformable column buffer and one GEMM, the
   as (N*T*H*W, K*C_in), with the weight reshaped to (K*C_in, C_out).
 
 Forward and backward are written by hand; `ls3d_backward` is exact
-reverse-mode differentiation of the sum above. grad_w and the column
-gradient g are one GEMM each, grad_w on the stored columns. The four
-corners are gathered again, block by block, and each is dotted with the
-unmasked g over C, giving s_00..s_11. Everything else is a function of
-those four numbers per tap: the mask gradient is sum_j w_j * s_j, and the
-offset gradient is m times the bilinear kernel's derivative of the s_j.
-grad_x is the adjoint of the sampling, S^T @ g onto the padded frames,
-accumulated in float64: the same three arrays read as a CSC matrix are
-S^T, so it is `csc_matvecs` on each block of sample rows in turn, with no
-sort or transpose; grad_x is the interior of the result.
+reverse-mode differentiation of the sum above. For it the forward keeps
+the input, offsets and masks, the padded frames, the top-left corner
+rows, (dr, dc) and the column buffer. It does not keep the four corner
+rows, the CSR row starts or the weights, 56 bytes per tap and point:
+the backward rebuilds them block by block, with the same integer and
+float operations, so every bit is that of the forward's. grad_w and the
+column gradient g are one GEMM each, grad_w on the stored columns. The
+four corners are gathered again, block by block, and each is dotted
+with the unmasked g over C, giving s_00..s_11. Everything else is a function of those four numbers per
+tap: the mask gradient is sum_j w_j * s_j, and the offset gradient is m
+times the bilinear kernel's derivative of the s_j. grad_x is the adjoint
+of the sampling, S^T @ g onto the padded frames, accumulated in float64:
+the same three arrays read as a CSC matrix are S^T, so it is
+`csc_matvecs` on each block of sample rows in turn, with no sort or
+transpose; grad_x is the interior of the result.
 
 The two kernels come from scipy's `scipy/sparse/_sparsetools` extension,
 which `conv3d._sparsetools` loads from its file alone on first use and
@@ -131,16 +138,16 @@ def bilinear_backward(frame: np.ndarray, point, upstream: float):
 # --- column buffer ---------------------------------------------------------
 
 def _corners(x: np.ndarray, kernel, offsets: np.ndarray):
-    """Zero-padded channels-last frames and the 4 bilinear corners of every tap.
+    """Zero-padded channels-last frames and the top-left corner of every tap.
 
-    Returns (frames, indptr, idx, weights, frac):
-      frames  (N*(T+2p_t)*(H+4)*(W+4), C): x channels last, zero-padded by
-              p_t = K_t//2 frames in time and by 2 rows and columns in space;
-      indptr  (N*T*H*W*K + 1,) row starts 0, 4, 8, ... of the CSR sampling
-              matrix whose column indices are `idx`;
-      idx     (N*T*H*W*K, 4) frame rows of the corners 00, 01, 10, 11;
-      weights (N*T*H*W*K, 4) the matching bilinear weights;
-      frac    (dr, dc), the fractional parts of the sampling point.
+    Returns (frames, top, frac):
+      frames (N*(T+2p_t)*(H+4)*(W+4), C): x channels last, zero-padded by
+             p_t = K_t//2 frames in time and by 2 rows and columns in space;
+      top    (N*T*H*W*K,) int64, the frame row of each top-left corner less
+             its column padding of 2; `_corner_rows` turns a run of it into
+             the rows of the four corners;
+      frac   (dr, dc), the fractional parts of the sampling point, from
+             which `_bilinear_weights` forms the four corner weights.
     Entries run over (n, t, h, w, tap), tap fastest.
     """
     n_, c_in, t_, h, w = x.shape
@@ -166,16 +173,31 @@ def _corners(x: np.ndarray, kernel, offsets: np.ndarray):
     top += frame * hp + 2
     top *= wp
     top += c0
-    top = top.ravel()
-    idx = np.empty((len(top), 4), dtype=top.dtype)
+    return frames, top.ravel(), (dr, dc)
+
+
+def _corner_rows(top: np.ndarray, w: int) -> np.ndarray:
+    """(len(top), 4) frame rows of the corners 00, 01, 10, 11, in frames
+    W wide before padding."""
+    wp = w + 4
+    out = np.empty((len(top), 4), dtype=top.dtype)
     for j, step in enumerate((2, 3, wp + 2, wp + 3)):
-        np.add(top, step, out=idx[:, j])
-    indptr = np.arange(0, idx.size + 1, 4, dtype=idx.dtype)
-    weights = np.empty((len(top), 4), dtype=dr.dtype)
+        np.add(top, step, out=out[:, j])
+    return out
+
+
+def _bilinear_weights(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """(len(dr), 4) bilinear weights of the corners 00, 01, 10, 11."""
+    out = np.empty((len(dr), 4), dtype=dr.dtype)
     udr, udc = 1 - dr, 1 - dc
     for j, (a, b) in enumerate(((udr, udc), (udr, dc), (dr, udc), (dr, dc))):
-        np.multiply(a, b, out=weights[:, j])
-    return frames, indptr, idx, weights, (dr, dc)
+        np.multiply(a, b, out=out[:, j])
+    return out
+
+
+def _row_starts(rows: int) -> np.ndarray:
+    """indptr 0, 4, 8, ... of a CSR sampling matrix with `rows` rows."""
+    return np.arange(0, 4 * rows + 1, 4, dtype=np.int64)
 
 
 def _gather(frames: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -222,31 +244,36 @@ def ls3d_forward(x: np.ndarray, params: Conv3dParams, offsets: np.ndarray,
     sparsetools = _sparsetools()
     n_, c_in, t_, h, w = x.shape
     taps = num_taps(params.kernel)
-    frames, indptr, idx, weights, frac = _corners(x, params.kernel, offsets)
-    wm = weights * _channels_last(masks).reshape(-1, 1)              # (N*T*P*K, 4)
+    frames, top, frac = _corners(x, params.kernel, offsets)
+    idx = _corner_rows(top, w)
+    wm = _bilinear_weights(*frac) * _channels_last(masks).reshape(-1, 1)  # (N*T*P*K, 4)
 
     # columns = S @ frames. The kernel needs one dtype throughout and does
     # not check its indices; `_corners` keeps every one inside `frames`.
     columns = np.zeros((len(idx), c_in), dtype=x.dtype)
-    sparsetools.csr_matvecs(len(idx), len(frames), c_in, indptr, idx,
+    sparsetools.csr_matvecs(len(idx), len(frames), c_in, _row_starts(len(idx)), idx,
                             wm.astype(x.dtype, copy=False), frames, columns)
     columns = columns.reshape(-1, taps * c_in)                       # (N*T*P, K*C)
 
     y = _channels_first(columns @ _gemm_weight(params.weight), (n_, t_, h, w))
     y = y.astype(x.dtype, copy=False)
     y += params.bias[None, :, None, None, None].astype(x.dtype)
-    ctx = (x, params, offsets, masks, (frames, indptr, idx, weights, frac, columns))
+    ctx = (x, params, offsets, masks, (frames, top, frac, columns))
     return y, ctx
 
 
 def ls3d_backward(ctx, grad_y: np.ndarray):
     """Exact gradients of ls3d_forward.
 
+    ctx is the forward's (x, params, offsets, masks, (frames, top, frac,
+    columns)). The corner rows, the CSR row starts and the bilinear
+    weights are not stored: each block of sample rows rebuilds its own.
+
     Returns (grad_x, grad_w, grad_bias, grad_offsets, grad_masks).
     """
     if ctx is None:
         raise ShapeError("ls3d_backward: no saved forward state")
-    x, params, offsets, masks, (frames, indptr, idx, weights, frac, columns) = ctx
+    x, params, offsets, masks, (frames, top, frac, columns) = ctx
     n_, c_in, t_, h, w = x.shape
     if grad_y.shape != (n_, params.out_channels, t_, h, w):
         raise ShapeError(f"ls3d_backward: grad_y shape {grad_y.shape} does not match "
@@ -262,28 +289,35 @@ def ls3d_backward(ctx, grad_y: np.ndarray):
     # dL/dcolumns, one row per tap and point: the unmasked sample gradient.
     g_mod = (gy @ _gemm_weight(params.weight).T).reshape(-1, c_in)  # (N*T*P*K, C)
 
-    # Block by block: each corner gathered again and dotted with g_mod over
-    # C (the mask and offset gradients are linear in these), and the input
-    # gradient grad_frames += S^T @ g_mod in float64. The CSR arrays of S
-    # read as CSC are S^T, so no sort or transpose is needed; the kernel
-    # walks the sample rows in order, so the sum is that of one whole call.
+    # Block by block: the corner rows and bilinear weights rebuilt from
+    # `top` and `frac`; each corner gathered again and dotted with g_mod
+    # over C (the mask and offset gradients are linear in these); and the
+    # input gradient grad_frames += S^T @ g_mod in float64. The CSR arrays
+    # of S read as CSC are S^T, so no sort or transpose is needed; the
+    # kernel walks the sample rows in order, so the sum is that of one
+    # whole call.
     m = _channels_last(masks).ravel()                                # (N*T*P*K,)
-    s = np.empty((4, len(idx)), dtype=g_mod.dtype)
-    corner = np.empty((min(_BLOCK, len(g_mod)), c_in), dtype=frames.dtype)
+    dr, dc = frac
+    s = np.empty((4, len(top)), dtype=g_mod.dtype)
+    grad_masks = np.empty(len(top), dtype=np.result_type(dr, s))
+    indptr = _row_starts(min(_BLOCK, len(top)))
+    corner = np.empty((min(_BLOCK, len(top)), c_in), dtype=frames.dtype)
     grad_frames = np.zeros((len(frames), c_in))
     csc_matvecs = _sparsetools().csc_matvecs
-    for block in _blocks(len(g_mod)):
+    for block in _blocks(len(top)):
         g_blk = g_mod[block]
-        buf = corner[:len(g_blk)]
+        size = len(g_blk)
+        idx = _corner_rows(top[block], w)
+        weights = _bilinear_weights(dr[block], dc[block])
         for j in range(4):
-            np.einsum("ic,ic->i", _gather(frames, idx[block, j], buf), g_blk,
+            np.einsum("ic,ic->i", _gather(frames, idx[:, j], corner[:size]), g_blk,
                       out=s[j, block])
-        csc_matvecs(len(frames), len(g_blk), c_in, indptr[:len(g_blk) + 1], idx[block],
-                    (weights[block] * m[block, None]).astype(np.float64, copy=False),
+        np.einsum("ij,ji->i", weights, s[:, block], out=grad_masks[block])
+        csc_matvecs(len(frames), size, c_in, indptr[:size + 1], idx,
+                    (weights * m[block, None]).astype(np.float64, copy=False),
                     g_blk.astype(np.float64), grad_frames)
     s00, s01, s10, s11 = s
-    grad_masks = _channels_first(np.einsum("ij,ji->i", weights, s).reshape(-1, taps), grid)
-    dr, dc = frac
+    grad_masks = _channels_first(grad_masks.reshape(-1, taps), grid)
     grad_offsets = np.stack([m * ((1 - dc) * (s10 - s00) + dc * (s11 - s01)),
                              m * ((1 - dr) * (s01 - s00) + dr * (s11 - s10))], axis=1)
     grad_offsets = _channels_first(grad_offsets.reshape(-1, 2 * taps), grid)
@@ -362,8 +396,11 @@ class Ls3dConv:
         if self._state is None:
             raise ShapeError(f"{self.name}: backward called without a keep-state forward")
         core_ctx, branch_ctx = self._state
+        self._state = None
         masks = core_ctx[3]
         grad_x, grad_w, grad_b, grad_off, grad_masks = ls3d_backward(core_ctx, grad_y)
+        # Freed before the branch conv's backward builds its column matrix.
+        del core_ctx
         # Gradient of the branch conv's output: offsets, then logits through the sigmoid.
         split = self.offset_branch.out_channels
         grad_raw = np.empty((len(grad_off), self.branches.out_channels, *grad_off.shape[2:]),
@@ -379,5 +416,4 @@ class Ls3dConv:
             f"{self.name}.mask.weight": gw_branch[split:],
             f"{self.name}.mask.bias": gb_branch[split:],
         }
-        self._state = None
         return grad_x + gx_branch

@@ -97,7 +97,7 @@ def l1_loss(pred: np.ndarray, target: np.ndarray):
     diff = pred - target
     loss = float(np.abs(diff).mean())
     grad = np.sign(diff) / diff.size
-    return loss, grad.astype(pred.dtype)
+    return loss, grad.astype(pred.dtype, copy=False)
 
 
 @dataclass

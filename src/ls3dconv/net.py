@@ -10,7 +10,13 @@ spatial-upsampling decoder (two transposed convs, stride 1,2,2).
 The denoise variant drops the temporal deconvs and preserves shape.
 
 No autodiff tape: every layer saves what its own backward needs during a
-keep-state forward, and the net folds backward over the layer list.
+keep-state forward (a ReLU only where its input was positive), and the
+net folds backward over the layer list. A backward drops the state it
+used, and fills `.grads`: each layer's holds its own parameters'
+gradients, a residual block's and the net's merge those of their parts.
+They stay until the next backward or until `VINet.release_grads`, which
+`train_loop` calls after every optimizer step, so that no gradient of
+one step is alive during the next.
 """
 
 from __future__ import annotations
@@ -64,20 +70,20 @@ class ReluLayer:
     def __init__(self, name: str):
         self.name = name
         self.grads: dict[str, np.ndarray] = {}
-        self._saved = None
+        self._positive = None
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {}
 
     def forward(self, x: np.ndarray, keep_state: bool = False) -> np.ndarray:
-        self._saved = x if keep_state else None
+        self._positive = x > 0 if keep_state else None
         return np.maximum(x, 0)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        if self._saved is None:
+        if self._positive is None:
             raise ShapeError(f"{self.name}: backward called without a keep-state forward")
-        grad_x = relu_backward(grad_y, self._saved)
-        self._saved = None
+        grad_x = relu_backward(grad_y, self._positive)
+        self._positive = None
         return grad_x
 
 
@@ -214,6 +220,16 @@ class VINet:
             self.grads.update(layer.grads)
         self._have_state = False
         return g
+
+    def release_grads(self) -> None:
+        """Drop the gradients of the last backward: the net's `.grads` and
+        every layer's, residual block parts included."""
+        self.grads = {}
+        for layer in self.layers:
+            layer.grads = {}
+            if isinstance(layer, ResBlock):
+                layer.first.grads = {}
+                layer.second.grads = {}
 
     def geometry(self) -> list[Conv3dParams]:
         """The params of every conv on the data path, outermost first; walk

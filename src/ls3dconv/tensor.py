@@ -1,8 +1,9 @@
 """Dense 5-D tensors and elementwise math.
 
 A "Tensor5" is a plain C-contiguous numpy array of shape (N, C, T, H, W),
-dtype float32 or float64, W fastest. Helpers here validate that contract
-and provide the two elementwise ops the layer code needs.
+dtype float32 or float64, W fastest. Helpers here validate that contract,
+provide the two elementwise ops the layer code needs, and size the state a
+forward keeps for its backward.
 """
 
 from __future__ import annotations
@@ -39,10 +40,31 @@ def check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
 
 # --- elementwise ops ----------------------------------------------------
 
-def relu_backward(grad_out: np.ndarray, forward_input: np.ndarray) -> np.ndarray:
-    """Mask the upstream gradient where the forward input was <= 0."""
-    check_same_shape(grad_out, forward_input, "relu_backward")
-    return np.where(forward_input > 0, grad_out, 0).astype(grad_out.dtype)
+def relu_backward(grad_out: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Zero the upstream gradient where the forward input was <= 0.
+
+    positive: the boolean array forward_input > 0, all a ReLU's backward
+    reads of its input.
+    """
+    check_same_shape(grad_out, positive, "relu_backward")
+    return np.where(positive, grad_out, 0).astype(grad_out.dtype, copy=False)
+
+
+def distinct_nbytes(state) -> int:
+    """Bytes of the distinct array buffers in `state`, a nest of tuples and
+    lists: a view counts as its base array, and each base once. Other
+    objects (shapes, a layer's Conv3dParams) are not walked."""
+    bases = {}
+    stack = [state]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            bases[id(item)] = item.nbytes
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+    return sum(bases.values())
 
 
 def sigmoid(a: np.ndarray) -> np.ndarray:

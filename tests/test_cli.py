@@ -547,18 +547,29 @@ class TestVizCommand:
 
 class TestBenchCommand:
     def test_reports_both_ops(self, tmp_path, capsys):
-        """LS3D and plain conv, forward and backward, at the last block's shape."""
+        """LS3D and plain conv, forward and backward, at the last block's
+        shape, with the MB each forward keeps for its backward."""
         code = main(["bench", *TINY, "--set", "bench.repeats=1", "--out", str(tmp_path)])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "shape (2,4,5,4,4)" in out
         assert out.count("minor faults/call") == 4
+        assert out.count("MB saved") == 2
         with open(tmp_path / "bench.csv") as f:
             rows = list(csv.DictReader(f))
         assert [r["op"] for r in rows] == ["conv3d_forward", "conv3d_backward",
                                            "ls3d_forward", "ls3d_backward"]
-        assert list(rows[0])[-1] == "minor_faults_per_call"
+        assert list(rows[0])[-2:] == ["minor_faults_per_call", "saved_mb"]
         assert all(float(r["minor_faults_per_call"]) >= 0 for r in rows)
+        # (2,4,5,4,4): the conv keeps its input padded by 1, 2*7*6*6*4
+        # floats; LS3D keeps its input, offsets, masks, frames padded by
+        # (1,2,2), and per (point, tap) an int64 corner row, two float32
+        # fractions and a column-buffer row of 4 floats.
+        points, pairs = 2 * 5 * 4 * 4, 2 * 5 * 4 * 4 * 27
+        assert float(rows[0]["saved_mb"]) == 4 * 2 * 7 * 6 * 6 * 4 / 1e6
+        assert float(rows[2]["saved_mb"]) == 4 * (points * (4 + 54 + 27)
+                                                  + 2 * 7 * 8 * 8 * 4 + pairs * (2 + 2 + 4)) / 1e6
+        assert rows[1]["saved_mb"] == rows[3]["saved_mb"] == ""
 
     @pytest.mark.parametrize("args, shape", [
         (TINY, (2, 4, 5, 4, 4)),

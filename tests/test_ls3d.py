@@ -11,6 +11,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +26,7 @@ from ls3dconv.errors import NumericError, ShapeError
 from ls3dconv.ls3d import (Ls3dConv, bilinear_backward, bilinear_sample,
                            ls3d_backward, ls3d_forward, num_taps, tap_offsets)
 from ls3dconv.net import make_ls3d_layer
-from ls3dconv.tensor import sigmoid
+from ls3dconv.tensor import distinct_nbytes, sigmoid
 
 FRAME = np.array([[0.0, 1.0], [2.0, 3.0]])
 
@@ -484,6 +485,53 @@ class TestPredictBranches:
         assert np.all(np.delete(offsets, 3, axis=1) == 0)
         np.testing.assert_array_equal(masks[:, 7], sigmoid(np.full((1, 2, 4, 4), 2.0)))
         assert np.all(np.delete(masks, 7, axis=1) == 0.5)
+
+
+class TestSavedState:
+    """What a keep-state forward keeps for the backward, and how long."""
+
+    @pytest.mark.parametrize("shape, limit", [((2, 32, 5, 8, 8), 3.2e6),
+                                              ((2, 16, 5, 32, 32), 29e6)])
+    def test_core_state_is_small(self, shape, limit):
+        """The LS3D core state keeps the input, the branch output the offsets
+        are a view of, the masks, the padded frames, one int64 top-left
+        corner row and two float32 fractions per (point, tap), and the
+        column buffer. At (2,16,5,32,32), with P = 2*5*32*32 = 10,240
+        points and P*27 = 276,480 (point, tap) pairs: 655,360 + 3,317,760 +
+        1,105,920 + 1,161,216 + 2,211,840 + 2,211,840 + 17,694,720 =
+        28,358,656 bytes. Keeping the corner rows, row starts and weights,
+        which the backward rebuilds, would make it 41,629,704."""
+        n_, c, t_, h, w = shape
+        layer = make_ls3d_layer(np.random.default_rng(7), c, "l", np.float32,
+                                random_branches=True)
+        x = np.random.default_rng(8).standard_normal(shape).astype(np.float32)
+        layer.forward(x, keep_state=True)
+        core_ctx = layer._state[0]
+        points = n_ * t_ * h * w
+        assert distinct_nbytes(core_ctx) == 4 * (
+            points * (c + 81 + 27)                           # input, branch output, masks
+            + n_ * (t_ + 2) * (h + 4) * (w + 4) * c          # padded frames
+            + points * num_taps((3, 3, 3)) * (2 + 2 + c))    # int64 top, frac, columns
+        assert distinct_nbytes(core_ctx) <= limit
+
+    def test_layer_frees_core_state_before_branch_backward(self, monkeypatch):
+        """The branch conv's backward, which builds the layer's largest
+        column matrix, runs after the core state is gone."""
+        rng = np.random.default_rng(9)
+        layer = make_ls3d_layer(rng, 4, "l", np.float32, random_branches=True)
+        x = rng.standard_normal((1, 4, 3, 6, 6)).astype(np.float32)
+        y = layer.forward(x, keep_state=True)
+        columns = weakref.ref(layer._state[0][4][-1])
+        alive = []
+        backward = ls3d.conv3d_backward
+
+        def branch_backward(ctx, grad_y):
+            alive.append(columns() is not None)
+            return backward(ctx, grad_y)
+
+        monkeypatch.setattr(ls3d, "conv3d_backward", branch_backward)
+        layer.backward(np.ones_like(y))
+        assert alive == [False]
 
 
 class TestSparseKernels:

@@ -43,7 +43,7 @@ class TestElementwise:
     def test_relu_backward_masks_nonpositive(self):
         x = np.array([-1.0, 0.0, 2.0])
         g = np.array([5.0, 5.0, 5.0])
-        np.testing.assert_array_equal(relu_backward(g, x), [0, 0, 5])
+        np.testing.assert_array_equal(relu_backward(g, x > 0), [0, 0, 5])
 
     def test_sigmoid_extremes_stay_finite(self):
         x = np.array([-1e4, 0.0, 1e4], dtype=np.float32)

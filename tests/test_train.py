@@ -2,6 +2,7 @@
 
 import io
 import struct
+import weakref
 import zipfile
 
 import numpy as np
@@ -151,6 +152,38 @@ class TestTrainLoop:
         result = train_loop(small_net(), small_interp_config(epochs=1, eval_every=eval_every))
         assert len(built) == datasets
         assert len(result.eval_history) == datasets - 1
+
+    def test_no_gradient_outlives_its_step(self, monkeypatch):
+        """When a step's keep-state forward starts, no gradient array of the
+        step before is alive: neither the loss gradient nor the parameter
+        gradients that the net and its layers handed to Adam."""
+        refs = []
+        l1_loss, adam_step = train.l1_loss, train.adam_step
+
+        def recording_l1_loss(pred, target):
+            loss, grad = l1_loss(pred, target)
+            refs.append(weakref.ref(grad))
+            return loss, grad
+
+        def recording_adam_step(params, grads, state, config):
+            refs.extend(weakref.ref(g) for g in grads.values())
+            adam_step(params, grads, state, config)
+
+        monkeypatch.setattr(train, "l1_loss", recording_l1_loss)
+        monkeypatch.setattr(train, "adam_step", recording_adam_step)
+        net = small_net()
+        forward = net.forward
+        alive = []
+
+        def checking_forward(x, keep_state=False):
+            if keep_state:
+                alive.append(sum(ref() is not None for ref in refs))
+            return forward(x, keep_state)
+
+        net.forward = checking_forward
+        train_loop(net, small_interp_config(epochs=2))
+        assert len(refs) == 4 * (1 + len(net.parameters()))
+        assert alive == [0, 0, 0, 0]
 
     def test_loss_csv_byte_identical_across_runs(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
