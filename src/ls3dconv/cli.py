@@ -28,7 +28,7 @@ from .conv3d import Conv3dParams, conv3d_backward, conv3d_forward
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .gradcheck import gradcheck
 from .ls3d import Ls3dConv, ls3d_backward, ls3d_forward, num_taps
-from .net import (SIZE_MULTIPLE, Conv3dLayer, NetworkSpec, ResBlock, VINet, build_net,
+from .net import (SIZE_MULTIPLE, Conv3dLayer, NetworkSpec, Sequential, VINet, build_net,
                   make_ls3d_layer)
 from .train import (TrainConfig, evaluate, heldout_set, load_checkpoint, make_dataset,
                     mean_quality, save_checkpoint, train_loop, write_loss_csv)
@@ -197,22 +197,10 @@ def network_spec(cfg: dict) -> NetworkSpec:
 
 
 def train_config(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch_size"],
-        learning_rate=cfg["train.learning_rate"],
-        seed=cfg["train.seed"],
-        task=cfg["net.task"],
-        clips=cfg["train.clips"],
-        eval_clips=cfg["train.eval_clips"],
-        size=cfg["data.size"],
-        num_frames=cfg["data.num_frames"],
-        motion=cfg["data.motion"],
-        num_objects=cfg["data.num_objects"],
-        noise_sigma=cfg["data.noise_sigma"],
-        eval_every=cfg["train.eval_every"],
-        grad_clip=cfg["train.grad_clip"],
-    )
+    # Each train.* and data.* key names the TrainConfig field it sets.
+    return TrainConfig(task=cfg["net.task"],
+                       **{key.split(".", 1)[1]: cfg[key] for key in SCHEMA
+                          if key.startswith(("train.", "data."))})
 
 
 def _announce(path) -> None:
@@ -311,9 +299,9 @@ def cmd_gradcheck(cfg: dict, out: Path) -> int:
     for p in net.parameters().values():
         if np.all(p == 0):
             p += 0.1 * rng.standard_normal(p.shape)
-    for l in net.layers:
-        if isinstance(l, ResBlock) and isinstance(l.first, Ls3dConv):
-            l.first.offset_shift = 0.3
+    for layer in net.walk():
+        if isinstance(layer, Ls3dConv):
+            layer.offset_shift = 0.3
     xb = rng.standard_normal((1, 3, 2, 8, 8))
     results.append(("end-to-end net", gradcheck(net, xb, seed=seed,
                                                 max_entries_per_tensor=24), 1e-4))
@@ -431,10 +419,11 @@ def cmd_bench(cfg: dict, out: Path) -> int:
     spec = net.spec
     # Input frames: the two end frames for interpolation, the clip for denoising.
     shape = (2 if spec.task == "interpolate" else tcfg.num_frames, tcfg.size, tcfg.size)
-    last = max(i for i, layer in enumerate(net.layers) if isinstance(layer, ResBlock))
+    # The residual blocks are the net's only containers.
+    last = max(i for i, layer in enumerate(net.layers) if isinstance(layer, Sequential))
     for layer in net.layers[:last]:
-        if isinstance(layer, Conv3dLayer):
-            shape = layer.params.output_shape(shape)
+        for params in layer.geometry():
+            shape = params.output_shape(shape)
     n, c, (t, h, w) = tcfg.batch_size, spec.channels, shape
     repeats = cfg["bench.repeats"]
     rng = np.random.default_rng(0)

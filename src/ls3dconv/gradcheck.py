@@ -2,10 +2,12 @@
 
 Works on anything following the layer protocol: ``parameters() -> dict``
 of named arrays (live views), ``forward(x, keep_state=...)``,
-``backward(grad_y) -> grad_x`` filling ``.grads``. ``.grads`` is read
-right after the backward: it holds that backward's gradients until the
-next backward replaces them or the owner releases them, as
-``train_loop`` does after each optimizer step. The scalar under test
+``backward(grad_y) -> grad_x`` filling ``.grads``. A container's
+backward moves its parts' gradients into its own ``.grads`` and leaves
+theirs empty, so each gradient has one holder. ``.grads`` is read right
+after the backward: it holds that backward's gradients until the next
+backward replaces them or the holder is emptied, as ``train_loop`` does
+after each optimizer step. The scalar under test
 is sum(forward(x) * R) for a seeded random projection R, so one backward
 call yields every analytic gradient at once.
 

@@ -371,6 +371,10 @@ class Ls3dConv:
             f"{self.name}.mask.bias": self.mask_branch.bias,
         }
 
+    def geometry(self) -> list[Conv3dParams]:
+        """The main kernel, which is where zero offsets sample."""
+        return [self.main]
+
     def predict_offsets_masks(self, x: np.ndarray):
         """Run the branch conv; returns (offsets, masks) only."""
         offsets, masks, _ = self._predict(x)

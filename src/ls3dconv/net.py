@@ -10,13 +10,14 @@ spatial-upsampling decoder (two transposed convs, stride 1,2,2).
 The denoise variant drops the temporal deconvs and preserves shape.
 
 No autodiff tape: every layer saves what its own backward needs during a
-keep-state forward (a ReLU only where its input was positive), and the
-net folds backward over the layer list. A backward drops the state it
-used, and fills `.grads`: each layer's holds its own parameters'
-gradients, a residual block's and the net's merge those of their parts.
-They stay until the next backward or until `VINet.release_grads`, which
-`train_loop` calls after every optimizer step, so that no gradient of
-one step is alive during the next.
+keep-state forward (a ReLU only where its input was positive), and a
+`Sequential` container (a residual block, the net) folds backward over
+its layer list. A backward drops the state it used, and fills `.grads`:
+a leaf's holds its own parameters' gradients, and a container moves its
+parts' gradients into its own, leaving theirs empty, so each gradient
+has one holder. `train_loop` empties the net's `.grads` after every
+optimizer step, so that no gradient of one step is alive during the
+next.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ class Conv3dLayer:
         return {f"{self.name}.weight": self.params.weight,
                 f"{self.name}.bias": self.params.bias}
 
+    def geometry(self) -> list[Conv3dParams]:
+        return [self.params]
+
     def forward(self, x: np.ndarray, keep_state: bool = False) -> np.ndarray:
         fwd = conv3d_transpose_forward if self.params.transposed else conv3d_forward
         y, ctx = fwd(x, self.params)
@@ -75,6 +79,9 @@ class ReluLayer:
     def parameters(self) -> dict[str, np.ndarray]:
         return {}
 
+    def geometry(self) -> list[Conv3dParams]:
+        return []
+
     def forward(self, x: np.ndarray, keep_state: bool = False) -> np.ndarray:
         self._positive = x > 0 if keep_state else None
         return np.maximum(x, 0)
@@ -87,7 +94,52 @@ class ReluLayer:
         return grad_x
 
 
-class ResBlock:
+class Sequential:
+    """Layers run in order forward and in reverse backward.
+
+    Parameters, gradients and geometry are those of its layers, in order.
+    """
+
+    def __init__(self, layers: list, name: str):
+        self.layers = layers
+        self.name = name
+        self.grads: dict[str, np.ndarray] = {}
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        out: dict[str, np.ndarray] = {}
+        for layer in self.layers:
+            out.update(layer.parameters())
+        return out
+
+    def forward(self, x: np.ndarray, keep_state: bool = False) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.forward(x, keep_state)
+        return x
+
+    def backward(self, grad_y: np.ndarray) -> np.ndarray:
+        self.grads = {}
+        for layer in reversed(self.layers):
+            grad_y = layer.backward(grad_y)
+            self.grads.update(layer.grads)
+            layer.grads = {}
+        return grad_y
+
+    def geometry(self) -> list[Conv3dParams]:
+        """The params of every conv on the data path, outermost first; walk
+        them with `Conv3dParams.output_shape` for each stage's size, as the
+        analytic receptive field does. A residual block contributes its two
+        convs (the skip's footprint is a subset)."""
+        return [params for layer in self.layers for params in layer.geometry()]
+
+    def walk(self):
+        """Every nested layer once, depth first, in forward order."""
+        for layer in self.layers:
+            yield layer
+            if isinstance(layer, Sequential):
+                yield from layer.walk()
+
+
+class ResBlock(Sequential):
     """first conv (plain or sampling) -> relu -> plain conv, plus skip.
 
     The skip bypasses every activation, so zeroing both convs makes the
@@ -98,24 +150,13 @@ class ResBlock:
         self.first = first
         self.relu = ReluLayer(f"{name}.relu")
         self.second = second
-        self.name = name
-        self.grads: dict[str, np.ndarray] = {}
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {**self.first.parameters(), **self.second.parameters()}
+        super().__init__([first, self.relu, second], name)
 
     def forward(self, x: np.ndarray, keep_state: bool = False) -> np.ndarray:
-        a = self.first.forward(x, keep_state)
-        r = self.relu.forward(a, keep_state)
-        b = self.second.forward(r, keep_state)
-        return x + b
+        return x + super().forward(x, keep_state)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        g = self.second.backward(grad_y)
-        g = self.relu.backward(g)
-        g = self.first.backward(g)
-        self.grads = {**self.first.grads, **self.second.grads}
-        return grad_y + g
+        return grad_y + super().backward(grad_y)
 
 
 @dataclass
@@ -178,20 +219,12 @@ def make_ls3d_layer(rng, channels: int, name: str, dtype=np.float32,
     return Ls3dConv(main, branches, name=name)
 
 
-class VINet:
+class VINet(Sequential):
     """Sequential network with per-task input contracts."""
 
     def __init__(self, spec: NetworkSpec, layers: list):
+        super().__init__(layers, "net")
         self.spec = spec
-        self.layers = layers
-        self.grads: dict[str, np.ndarray] = {}
-        self._have_state = False
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for layer in self.layers:
-            out.update(layer.parameters())
-        return out
 
     def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 5 or x.shape[1] != IN_CHANNELS:
@@ -205,47 +238,7 @@ class VINet:
 
     def forward(self, x: np.ndarray, keep_state: bool = False) -> np.ndarray:
         self._check_input(x)
-        for layer in self.layers:
-            x = layer.forward(x, keep_state)
-        self._have_state = keep_state
-        return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if not self._have_state:
-            raise ShapeError("net backward called without a keep-state forward")
-        g = grad_out
-        self.grads = {}
-        for layer in reversed(self.layers):
-            g = layer.backward(g)
-            self.grads.update(layer.grads)
-        self._have_state = False
-        return g
-
-    def release_grads(self) -> None:
-        """Drop the gradients of the last backward: the net's `.grads` and
-        every layer's, residual block parts included."""
-        self.grads = {}
-        for layer in self.layers:
-            layer.grads = {}
-            if isinstance(layer, ResBlock):
-                layer.first.grads = {}
-                layer.second.grads = {}
-
-    def geometry(self) -> list[Conv3dParams]:
-        """The params of every conv on the data path, outermost first; walk
-        them with `Conv3dParams.output_shape` for each stage's size, as the
-        analytic receptive field does. A residual block contributes its two
-        convs (the skip's footprint is a subset); an LS3D conv its main
-        kernel, which is where zero offsets sample."""
-        convs = []
-        for layer in self.layers:
-            if isinstance(layer, Conv3dLayer):
-                convs.append(layer.params)
-            elif isinstance(layer, ResBlock):
-                first = layer.first
-                convs += [first.main if isinstance(first, Ls3dConv) else first.params,
-                          layer.second.params]
-        return convs
+        return super().forward(x, keep_state)
 
 
 def build_net(spec: NetworkSpec, seed: int) -> VINet:

@@ -219,9 +219,10 @@ def train_loop(net: VINet, config: TrainConfig,
             net.backward(grad)
             clip_grad_norm(net.grads, config.grad_clip)
             adam_step(params, net.grads, state, config)
-            # No gradient of this step stays alive into the next one.
+            # No gradient of this step stays alive into the next one; the
+            # net is the only holder of the parameter gradients.
             del pred, grad
-            net.release_grads()
+            net.grads = {}
             for name, p in params.items():
                 if not np.isfinite(p).all():
                     raise NumericError(f"parameter '{name}' became non-finite "

@@ -405,8 +405,9 @@ class TestEvalCommand:
 
 
 class TestGradcheckCommand:
-    def test_passes_and_prints_error(self, tmp_path, capsys):
-        code = main(["gradcheck", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_passes_and_prints_error(self, tmp_path, capsys, seed):
+        code = main(["gradcheck", "--set", f"train.seed={seed}", "--out", str(tmp_path)])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "max relative error" in out

@@ -74,6 +74,31 @@ class TestBuildNet:
         assert np.all(block.first.mask_branch.weight == 0)
 
 
+class TestWalk:
+    def test_every_layer_once_in_forward_order(self):
+        net = build_net(NetworkSpec(ls3d_block_indices=frozenset(range(1, 7))), seed=0)
+        names = [layer.name for layer in net.walk()]
+        expected = ["enc1", "enc1.relu", "enc2", "enc2.relu"]
+        for i in range(1, 7):
+            expected += [f"block{i}", f"block{i}.conv1", f"block{i}.relu", f"block{i}.conv2"]
+            if i in (2, 4):
+                expected += [f"tdeconv{i // 2}", f"tdeconv{i // 2}.relu"]
+        expected += ["dec1", "dec1.relu", "dec2"]
+        assert names == expected
+        assert len({id(layer) for layer in net.walk()}) == len(expected)
+        assert sum(isinstance(layer, Ls3dConv) for layer in net.walk()) == 6
+
+    @pytest.mark.parametrize("blocks", [frozenset(), frozenset({2, 5}), frozenset(range(1, 7))])
+    def test_ls3d_layers_are_block_firsts(self, blocks):
+        """perfbench finds the LS3D layers as `getattr(layer, "first", None)`
+        of the net's top-level layers; `walk()` must find the same ones."""
+        net = build_net(NetworkSpec(channels=4, ls3d_block_indices=blocks), seed=0)
+        walked = [layer for layer in net.walk() if isinstance(layer, Ls3dConv)]
+        firsts = [getattr(layer, "first", None) for layer in net.layers]
+        assert walked == [f for f in firsts if isinstance(f, Ls3dConv)]
+        assert len(walked) == len(blocks)
+
+
 class TestShapeContracts:
     @pytest.mark.parametrize("hw", [32, 48, 64])
     def test_interpolation_2_to_5_frames(self, hw):
@@ -188,6 +213,17 @@ class TestNetBackward:
         np.testing.assert_array_equal(block.backward(gy), gy)
         assert gx.shape == gy.shape
 
+    def test_each_gradient_has_one_holder(self):
+        """After a backward the net holds every parameter's gradient, under
+        the parameter's name, and no layer inside it holds any."""
+        net = build_net(tiny_spec(temporal_deconv_after=frozenset({1, 2}),
+                                  ls3d_block_indices=frozenset({1, 2})), seed=0)
+        rng = np.random.default_rng(6)
+        net.forward(rng.standard_normal((1, 3, 2, 16, 16)), keep_state=True)
+        net.backward(rng.standard_normal((1, 3, 5, 16, 16)))
+        assert sorted(net.grads) == sorted(net.parameters())
+        assert all(layer.grads == {} for layer in net.walk())
+
     def test_end_to_end_gradcheck_tiny_net(self):
         """Whole-net analytic gradients vs central differences at 64-bit.
 
@@ -203,8 +239,8 @@ class TestNetBackward:
         for name, p in net.parameters().items():
             if np.all(p == 0):
                 p += 0.1 * rng.standard_normal(p.shape)
-        for layer in net.layers:
-            if isinstance(layer, ResBlock) and isinstance(layer.first, Ls3dConv):
-                layer.first.offset_shift = 0.3
+        for layer in net.walk():
+            if isinstance(layer, Ls3dConv):
+                layer.offset_shift = 0.3
         x = rng.standard_normal((1, 3, 2, 8, 8))
         assert gradcheck(net, x, seed=5, max_entries_per_tensor=40) < 1e-4
