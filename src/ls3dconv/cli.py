@@ -235,6 +235,8 @@ def cmd_train(cfg: dict, out: Path) -> int:
     loss_csv = out / "loss.csv"
     write_loss_csv(loss_csv, result.loss_rows)
     _announce(loss_csv)
+    for epoch, p, s in result.eval_history:
+        print(f"epoch {epoch}: eval PSNR {p:.2f} dB, SSIM {s:.4f}")
     mean_psnr, mean_ssim = score_heldout(net, tcfg, out)
     print(f"final loss {result.epoch_losses[-1]:.6f}, eval PSNR {mean_psnr:.2f} dB, "
           f"SSIM {mean_ssim:.4f}")
@@ -352,10 +354,12 @@ def cmd_ablate(cfg: dict, out: Path) -> int:
     Every training runs in a spawned worker with one BLAS thread, one worker
     per core this process may run on (its affinity mask, so `taskset`
     limits the pool). The scores depend on neither the pool size nor this
-    process's BLAS thread count.
+    process's BLAS thread count. The table holds only the final scores, so
+    no run scores the held-out set during training.
     """
     seeds = [cfg["train.seed"] + i for i in range(cfg["ablate.seeds"])]
-    runs = [(variant, seed, apply_overrides(cfg, [*overrides, f"train.seed={seed}"]))
+    runs = [(variant, seed, apply_overrides(cfg, [*overrides, f"train.seed={seed}",
+                                                  "train.eval_every=0"]))
             for variant, overrides in ABLATION_VARIANTS for seed in seeds]
     jobs = {config_text(run): run for _, _, run in runs}
     workers = len(os.sched_getaffinity(0))

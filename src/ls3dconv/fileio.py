@@ -94,30 +94,3 @@ def write_pgm(path, image: np.ndarray) -> None:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())
 
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 PGM back as uint8; used by tests only."""
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise CheckpointError(f"{path}: not a P5 PGM file")
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    w, h, maxval = (int(x) for x in fields)
-    if maxval != 255:
-        raise CheckpointError(f"{path}: expected maxval 255, got {maxval}")
-    body = data[pos:pos + w * h]
-    if len(body) != w * h:
-        raise CheckpointError(f"{path}: truncated pixel data")
-    return np.frombuffer(body, dtype=np.uint8).reshape(h, w).copy()

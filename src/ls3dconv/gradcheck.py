@@ -22,19 +22,22 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
+# The central difference's half-step, applied to one entry at a time.
+STEP = 1e-5
+
 
 def _central_diff(model, x: np.ndarray, tensor: np.ndarray, flat_idx: int,
-                  proj: np.ndarray, step: float) -> float:
+                  proj: np.ndarray) -> float:
     orig = tensor.flat[flat_idx]
-    tensor.flat[flat_idx] = orig + step
+    tensor.flat[flat_idx] = orig + STEP
     s_plus = float(np.sum(model.forward(x) * proj))
-    tensor.flat[flat_idx] = orig - step
+    tensor.flat[flat_idx] = orig - STEP
     s_minus = float(np.sum(model.forward(x) * proj))
     tensor.flat[flat_idx] = orig
-    return (s_plus - s_minus) / (2.0 * step)
+    return (s_plus - s_minus) / (2.0 * STEP)
 
 
-def gradcheck(model, x: np.ndarray, seed: int = 0, step: float = 1e-5,
+def gradcheck(model, x: np.ndarray, seed: int = 0,
               max_entries_per_tensor: int | None = None) -> float:
     """Worst relative error max|a - n| / max(1, |n|) over all checked entries.
 
@@ -77,7 +80,7 @@ def gradcheck(model, x: np.ndarray, seed: int = 0, step: float = 1e-5,
         else:
             idxs = range(size)
         for i in idxs:
-            numeric = _central_diff(model, x, tensor, int(i), proj, step)
+            numeric = _central_diff(model, x, tensor, int(i), proj)
             if not np.isfinite(numeric):
                 raise NumericError(f"gradcheck: non-finite finite-difference value for "
                                    f"'{name}' at flat index {int(i)}")

@@ -339,13 +339,13 @@ class Ls3dConv:
     `branches` emits 3*taps channels, the 2*taps offsets first, then the
     taps mask logits. `offset_branch` and `mask_branch` are views of its
     two halves, so a write to either reaches the weights the conv reads.
-    Offsets come out raw (plus an optional constant `offset_shift`, which
-    the gradient checker uses to stay off the bilinear kernel's integer
-    kinks); masks are squashed through a sigmoid into [0, 1].
+    Offsets come out raw, plus the constant `offset_shift` (0): gradient
+    checks set it on a built layer, 0.3 say, to keep the sampling points
+    off the bilinear kernel's integer kinks. Masks are squashed through a
+    sigmoid into [0, 1].
     """
 
-    def __init__(self, main: Conv3dParams, branches: Conv3dParams, name: str = "ls3d",
-                 offset_shift: float = 0.0):
+    def __init__(self, main: Conv3dParams, branches: Conv3dParams, name: str = "ls3d"):
         taps = num_taps(main.kernel)
         if branches.out_channels != 3 * taps:
             raise ShapeError(f"offset and mask branches must emit {3 * taps} channels, "
@@ -357,7 +357,7 @@ class Ls3dConv:
                          stride=branches.stride, padding=branches.padding)
             for half in (slice(None, 2 * taps), slice(2 * taps, None)))
         self.name = name
-        self.offset_shift = offset_shift
+        self.offset_shift = 0.0
         self.grads: dict[str, np.ndarray] = {}
         self._state = None
 

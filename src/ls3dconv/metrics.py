@@ -28,29 +28,27 @@ _SSIM_C2 = 0.03 ** 2
 SSIM_WINDOW = 11
 
 
-def _gauss_1d(size: int = SSIM_WINDOW, sigma: float = 1.5) -> np.ndarray:
-    ax = np.arange(size, dtype=np.float64) - (size - 1) / 2
-    g = np.exp(-0.5 * (ax / sigma) ** 2)
-    return g / g.sum()
+# The 11x11 window is the outer product of this with itself: a Gaussian of
+# sigma 1.5 over the window's taps, summing to 1.
+_GAUSS = np.exp(-0.5 * ((np.arange(SSIM_WINDOW, dtype=np.float64)
+                         - (SSIM_WINDOW - 1) / 2) / 1.5) ** 2)
+_GAUSS /= _GAUSS.sum()
 
 
-# The 11x11 window is the outer product of this with itself.
-_GAUSS = _gauss_1d()
-
-
-def psnr_frames(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> list[float]:
-    """PSNR in dB for every (n, t) frame; inf where the frames are equal."""
+def psnr_frames(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """PSNR in dB for every (n, t) frame of values in [0, 1]; inf where the
+    frames are equal."""
     check_same_shape(a, b, "psnr")
     diff = (a.astype(np.float64) - b.astype(np.float64)) ** 2
     mse = diff.mean(axis=(1, 3, 4))  # (N, T)
     out = []
     for v in mse.ravel():
-        out.append(math.inf if v == 0 else 10.0 * math.log10(max_val ** 2 / v))
+        out.append(math.inf if v == 0 else 10.0 * math.log10(1.0 / v))
     return out
 
 
-def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
-    vals = psnr_frames(a, b, max_val)
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    vals = psnr_frames(a, b)
     return sum(vals) / len(vals)
 
 

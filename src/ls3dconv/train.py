@@ -57,7 +57,7 @@ class TrainConfig:
         if min(self.epochs, self.batch_size, self.clips, self.eval_clips) < 1:
             raise ConfigError("epochs, batch_size, clips and eval_clips must be positive")
         if self.eval_every < 0:
-            raise ConfigError("eval_every must be >= 0 (0: no held-out evaluation)")
+            raise ConfigError("eval_every must be >= 0 (0: no evaluation during training)")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0 (numpy seeds are non-negative), got {self.seed}")
         if self.num_objects < 0:
@@ -89,10 +89,11 @@ class AdamState:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig) -> None:
-    """Standard bias-corrected Adam update, in place."""
-    state.step += 1
-    t = state.step
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    """Standard bias-corrected Adam update, in place.
+
+    Every gradient is checked before anything is written, so a bad one
+    leaves the parameters, the moments and the step count as they were.
+    """
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -102,6 +103,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             bad = int(np.flatnonzero(~np.isfinite(g))[0])
             raise NumericError(f"adam_step: non-finite gradient in '{name}' "
                                f"at flat index {bad}")
+    state.step += 1
+    t = state.step
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    for name, p in params.items():
+        g = grads[name]
         m = state.m[name]
         v = state.v[name]
         m *= b1

@@ -11,7 +11,6 @@ outside, which is the whole point of the operator.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ class SamplingMap:
     maps: np.ndarray                  # (T_in, H, W), channel-summed |gradient|
     out_coord: tuple[int, int, int]   # (frame, row, col) on the output
     norm_max: float
-    all_zero: bool = False
+    all_zero: bool = False            # the output pixel is disconnected from the input
 
 
 def sampling_map(model, x: np.ndarray, out_coord: tuple[int, int, int]) -> SamplingMap:
@@ -44,23 +43,20 @@ def sampling_map(model, x: np.ndarray, out_coord: tuple[int, int, int]) -> Sampl
     grad_x = model.backward(grad_y)
     maps = np.abs(grad_x[0]).sum(axis=0)  # (T_in, H, W)
     peak = float(maps.max())
-    all_zero = peak == 0.0
-    if all_zero:
-        warnings.warn("sampling map is all zero: output pixel is disconnected "
-                      "from the input (zero-weight network?)", stacklevel=2)
-    return SamplingMap(maps, out_coord, peak, all_zero)
+    return SamplingMap(maps, out_coord, peak, peak == 0.0)
 
 
-def emit_map_image(smap: SamplingMap, out_dir, prefix: str = "sampling") -> list:
-    """One max-normalized PGM per input frame plus a top-50 coordinate CSV."""
+def emit_map_image(smap: SamplingMap, out_dir) -> list:
+    """One max-normalized PGM per input frame, `sampling_frame<t>.pgm`, plus
+    a top-50 coordinate CSV, `sampling_top50.csv`."""
     paths = []
     t_in = smap.maps.shape[0]
     peak = smap.norm_max if smap.norm_max > 0 else 1.0
     for t in range(t_in):
-        path = f"{out_dir}/{prefix}_frame{t}.pgm"
+        path = f"{out_dir}/sampling_frame{t}.pgm"
         write_pgm(path, smap.maps[t] / peak)
         paths.append(path)
-    csv_path = f"{out_dir}/{prefix}_top50.csv"
+    csv_path = f"{out_dir}/sampling_top50.csv"
     order = np.argsort(smap.maps, axis=None)[::-1][:50]
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -105,12 +101,10 @@ def receptive_field(net, input_shape, out_coord: tuple[int, int, int]):
     return tuple((int(a), int(b)) for a, b in zip(lo, hi))
 
 
-def support_within(smap: SamplingMap, intervals, tol: float = 0.0) -> bool:
-    """True when every map entry above tol*peak lies inside the intervals."""
+def support_within(smap: SamplingMap, intervals) -> bool:
+    """True when every nonzero map entry lies inside the intervals."""
     (t0, t1), (r0, r1), (c0, c1) = intervals
-    thresh = tol * smap.norm_max
-    support = smap.maps > thresh
-    t, r, c = np.nonzero(support)
+    t, r, c = np.nonzero(smap.maps > 0)
     if t.size == 0:
         return True
     return bool(t.min() >= t0 and t.max() <= t1 and r.min() >= r0 and r.max() <= r1

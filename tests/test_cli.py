@@ -274,6 +274,27 @@ class TestTrainCommand:
             csvs.append((out / "loss.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
+    def test_eval_every_prints_epoch_scores_and_keeps_artifacts(self, tmp_path, capsys):
+        """train.eval_every = 1 prints one held-out score line per epoch; the
+        loss.csv, eval.csv and parameter bytes are those of eval_every = 0."""
+        outs = {}
+        for every in (0, 1):
+            code = main(["train", *TINY, "--set", "train.epochs=3",
+                         "--set", f"train.eval_every={every}", "--out", str(tmp_path / str(every))])
+            assert code == EXIT_OK
+            outs[every] = capsys.readouterr().out
+        lines = [line for line in outs[1].splitlines() if line.startswith("epoch ")]
+        assert [line.split(":")[0] for line in lines] == ["epoch 1", "epoch 2", "epoch 3"]
+        assert all("eval PSNR" in line and "SSIM" in line for line in lines)
+        assert not any(line.startswith("epoch ") for line in outs[0].splitlines())
+        for name in ("loss.csv", "eval.csv"):
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+        params = [{k: v for k, v in load_named_tensors(tmp_path / str(e) / "checkpoint.ls3d")
+                   .items() if k.startswith("param/")} for e in (0, 1)]
+        assert params[0].keys() == params[1].keys()
+        for k in params[0]:
+            assert params[0][k].tobytes() == params[1][k].tobytes()
+
     def test_shape_error_exit_code(self, tmp_path, capsys, monkeypatch):
         """A ShapeError raised while a command runs exits 3. No configuration
         reaches one since data.size must be a multiple of 4, so one is raised
@@ -473,6 +494,22 @@ class TestAblateCommand:
         assert code == EXIT_OK
         assert pools == [cores]
 
+    def test_runs_do_not_evaluate_during_training(self, tmp_path, monkeypatch):
+        """ablation.csv holds only final scores, so every run is handed to the
+        pool with train.eval_every = 0, whatever the command line set."""
+        jobs = []
+
+        def scoring(fn, args, workers):
+            jobs.extend(args)
+            return [(10.0, 0.5)] * len(args)
+
+        monkeypatch.setattr(cli, "map_in_workers", scoring)
+        code = main(["ablate", *TINY, "--set", "train.eval_every=2", "--set", "ablate.seeds=2",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert len(jobs) == 12
+        assert all(job["train.eval_every"] == 0 for job in jobs)
+
     def test_ablation_csv_independent_of_blas_threads(self, tmp_path):
         """At 32 channels the LS3D branch conv's input-gradient GEMM (K = 2187)
         rounds differently under one and two BLAS threads. Every training runs
@@ -516,6 +553,22 @@ class TestVizCommand:
         assert (tmp_path / "sampling_top50.csv").exists()
         for p in pgms:
             assert str(p) in out
+
+    def test_all_zero_map_warned_once(self, tmp_path, capsys):
+        """A net of zero weights reaches no input: `viz` prints one warning
+        line and writes the (black) maps."""
+        net = build_net(cli.network_spec(load_config(None, TINY[1::2])), seed=0)
+        for p in net.parameters().values():
+            p[...] = 0
+        ckpt = tmp_path / "zero.ls3d"
+        save_checkpoint(ckpt, net)
+        code = main(["viz", *TINY, "--set", f"viz.checkpoint={ckpt}", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.count("warning: sampling map is all zero") == 1
+        assert captured.err == ""
+        assert (tmp_path / "sampling_frame0.pgm").read_bytes() == \
+            b"P5\n16 16\n255\n" + bytes(16 * 16)
 
     def test_settings_unlike_checkpoint_noted(self, tmp_path, capsys):
         ckpt = tmp_path / "checkpoint.ls3d"

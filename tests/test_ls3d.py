@@ -428,6 +428,22 @@ class TestPredictBranches:
         with pytest.raises(ShapeError, match="81 channels"):
             Ls3dConv(layer.main, short)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_offset_shift_set_after_construction(self, dtype):
+        """Gradient checks set `offset_shift` on a built layer: every predicted
+        offset moves by exactly that constant, in the layer's dtype, and no
+        mask moves."""
+        rng = np.random.default_rng(6)
+        layer = make_ls3d_layer(rng, channels=2, name="l", dtype=dtype, random_branches=True)
+        x = rng.standard_normal((1, 2, 3, 5, 5)).astype(dtype)
+        assert layer.offset_shift == 0
+        offsets, masks = layer.predict_offsets_masks(x)
+        layer.offset_shift = 0.3
+        shifted, shifted_masks = layer.predict_offsets_masks(x)
+        assert shifted.dtype == dtype
+        np.testing.assert_array_equal(shifted, offsets + dtype(0.3))
+        np.testing.assert_array_equal(shifted_masks, masks)
+
     def test_layer_backward_without_forward_raises(self):
         rng = np.random.default_rng(3)
         layer = make_ls3d_layer(rng, channels=1, name="l", dtype=np.float64)

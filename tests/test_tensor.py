@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ls3dconv.errors import ShapeError
-from ls3dconv.fileio import read_pgm, write_pgm
+from ls3dconv.fileio import write_pgm
 from ls3dconv.tensor import check_same_shape, check_tensor5, relu_backward, sigmoid
 
 
@@ -78,17 +78,17 @@ class TestElementwise:
 
 
 class TestPgm:
-    def test_roundtrip_normalization(self, tmp_path):
+    """The exact bytes: the P5 header `P5\\n<width> <height>\\n255\\n`, then
+    one byte per pixel, row by row."""
+
+    def test_max_normalized_bytes(self, tmp_path):
         img = np.array([[0.0, 0.5], [1.0, 2.0]])
         p = tmp_path / "img.pgm"
         write_pgm(p, img)
-        back = read_pgm(p)
-        assert back.shape == (2, 2)
-        assert back[1, 1] == 255  # peak maps to white
-        assert back[0, 0] == 0
+        # The peak maps to white; 0.25 * 255 and 0.5 * 255 round to 64 and 128.
+        assert p.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255])
 
     def test_constant_map_is_uniform(self, tmp_path):
         p = tmp_path / "const.pgm"
         write_pgm(p, np.full((3, 4), 0.7))
-        back = read_pgm(p)
-        assert np.all(back == 255)
+        assert p.read_bytes() == b"P5\n4 3\n255\n" + b"\xff" * 12

@@ -91,6 +91,29 @@ class TestAdam:
         with pytest.raises(ShapeError, match="w"):
             adam_step(params, {"w": np.zeros(3)}, state, small_interp_config())
 
+    @pytest.mark.parametrize("bad,error", [("nan", NumericError), ("shape", ShapeError)])
+    def test_bad_last_gradient_changes_nothing(self, bad, error):
+        """Every gradient is checked before the first write: a bad gradient
+        for the last parameter leaves the earlier parameters, every moment
+        and the step count as they were."""
+        rng = np.random.default_rng(4)
+        params = self._params(rng)
+        state = AdamState.init(params)
+        cfg = small_interp_config()
+        adam_step(params, {k: np.ones_like(v) for k, v in params.items()}, state, cfg)
+        grads = {k: np.ones_like(v) for k, v in params.items()}
+        if bad == "nan":
+            grads["b"][-1] = np.nan
+        else:
+            grads["b"] = np.ones(5, dtype=np.float32)
+        before = [{k: v.copy() for k, v in d.items()} for d in (params, state.m, state.v)]
+        with pytest.raises(error, match="'b'"):
+            adam_step(params, grads, state, cfg)
+        assert state.step == 1
+        for now, then in zip((params, state.m, state.v), before):
+            for k in then:
+                np.testing.assert_array_equal(now[k], then[k])
+
     def test_grad_clipping_rescales_global_norm(self):
         grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
         total = clip_grad_norm(grads, max_norm=1.0)

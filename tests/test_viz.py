@@ -1,13 +1,14 @@
 """Sampling-location maps: footprints, displacement, receptive-field containment."""
 
 import csv
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ls3dconv.conv3d import Conv3dParams
 from ls3dconv.errors import ShapeError
-from ls3dconv.fileio import read_pgm
 from ls3dconv.net import Conv3dLayer, NetworkSpec, build_net, make_ls3d_layer
 from ls3dconv.viz import (SamplingMap, emit_map_image, receptive_field, sampling_map,
                           support_centroid, support_within)
@@ -43,11 +44,13 @@ class TestSamplingMap:
             assert r - 8.0 == pytest.approx(0.0, abs=0.5)
 
     def test_zero_weight_net_flagged_all_zero(self):
+        """The flag is the one report: `viz` prints it, the library does not warn."""
         rng = np.random.default_rng(2)
         model = single_conv_model(rng)
         model.params.weight[:] = 0
         x = rng.standard_normal((1, 1, 3, 9, 9))
-        with pytest.warns(UserWarning, match="all zero"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             smap = sampling_map(model, x, (1, 4, 4))
         assert smap.all_zero
         assert np.all(smap.maps == 0)
@@ -64,22 +67,26 @@ class TestEmitMapImage:
     def test_constant_map_uniform_gray(self, tmp_path):
         smap = SamplingMap(np.full((1, 6, 6), 0.4), (0, 3, 3), 0.4)
         paths = emit_map_image(smap, tmp_path)
-        img = read_pgm(paths[0])
-        assert np.all(img == 255)
+        assert paths[0] == f"{tmp_path}/sampling_frame0.pgm"
+        assert Path(paths[0]).read_bytes() == b"P5\n6 6\n255\n" + b"\xff" * 36
 
     def test_single_peak_single_white_pixel(self, tmp_path):
         maps = np.zeros((1, 6, 6))
         maps[0, 2, 4] = 3.0
         smap = SamplingMap(maps, (0, 3, 3), 3.0)
-        img = read_pgm(emit_map_image(smap, tmp_path)[0])
-        assert img[2, 4] == 255
-        assert img.sum() == 255
+        pixels = bytearray(36)
+        pixels[2 * 6 + 4] = 255
+        path = Path(emit_map_image(smap, tmp_path)[0])
+        assert path.read_bytes() == b"P5\n6 6\n255\n" + pixels
 
     def test_csv_top1_is_argmax(self, tmp_path):
         rng = np.random.default_rng(4)
         maps = rng.uniform(0, 1, (2, 5, 5))
         smap = SamplingMap(maps, (0, 2, 2), float(maps.max()))
-        csv_path = [p for p in emit_map_image(smap, tmp_path) if str(p).endswith(".csv")][0]
+        paths = emit_map_image(smap, tmp_path)
+        assert paths == [f"{tmp_path}/sampling_frame0.pgm", f"{tmp_path}/sampling_frame1.pgm",
+                         f"{tmp_path}/sampling_top50.csv"]
+        csv_path = paths[-1]
         with open(csv_path) as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 50
