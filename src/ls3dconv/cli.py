@@ -12,7 +12,6 @@ Exit codes: 0 ok, 2 config error, 3 shape/task error, 4 numeric failure,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import multiprocessing
 import os
@@ -102,8 +101,6 @@ def _set_key(cfg: dict, key: str, raw: str, where: str) -> None:
     parser, _ = SCHEMA[key]
     try:
         cfg[key] = parser(raw.strip())
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for '{key}': {raw.strip()} ({exc})") from exc
 
@@ -227,43 +224,38 @@ def score_heldout(net: VINet, tcfg: TrainConfig, out: Path | None = None) -> tup
 # --- commands ----------------------------------------------------------------
 
 def cmd_train(cfg: dict, out: Path) -> int:
+    """Train and score the held-out set, then write eval.csv, the checkpoint
+    and loss.csv, so a run that fails leaves `out` as it was."""
     net, tcfg = configured_net(cfg)
+    result = train_loop(net, tcfg)
+    for epoch, p, s in result.eval_history:
+        print(f"epoch {epoch}: eval PSNR {p:.2f} dB, SSIM {s:.4f}")
+    mean_psnr, mean_ssim = score_heldout(net, tcfg, out)
     ckpt = out / "checkpoint.ls3d"
-    result = train_loop(net, tcfg, abort_checkpoint_path=ckpt)
     save_checkpoint(ckpt, net, result.adam_state, config_echo=config_text(cfg))
     _announce(ckpt)
     loss_csv = out / "loss.csv"
     write_loss_csv(loss_csv, result.loss_rows)
     _announce(loss_csv)
-    for epoch, p, s in result.eval_history:
-        print(f"epoch {epoch}: eval PSNR {p:.2f} dB, SSIM {s:.4f}")
-    mean_psnr, mean_ssim = score_heldout(net, tcfg, out)
     print(f"final loss {result.epoch_losses[-1]:.6f}, eval PSNR {mean_psnr:.2f} dB, "
           f"SSIM {mean_ssim:.4f}")
     return EXIT_OK
 
 
 def note_config_differences(cfg: dict, echo: str, ckpt) -> None:
-    """Print a note for each net.* and data.* key whose value differs from
-    the one in the checkpoint's config echo, or one note if the echo holds
-    no configuration."""
+    """Print a note for each data.* key whose value differs from the one in
+    the checkpoint's config echo, or one note if the echo holds no
+    configuration. The net.* keys need no note: each fixes parameter names
+    or shapes, so a checkpoint of another net fails to load."""
     try:
         saved = parse_config(echo, f"{ckpt} config echo")
     except ConfigError:
         saved = {}
     if not saved:
-        print(f"note: {ckpt} holds no configuration; its net.* and data.* settings "
-              "are not compared")
+        print(f"note: {ckpt} holds no configuration; its data.* settings are not compared")
         return
     for key, value in sorted(saved.items()):
-        if not key.startswith(("net.", "data.")):
-            continue
-        differs = value != cfg[key]
-        if key == "net.ls3d_blocks" and differs:
-            # "all" and "1,2,3,4,5,6" name the same net.
-            with contextlib.suppress(ConfigError):
-                differs = _parse_block_set(value) != _parse_block_set(cfg[key])
-        if differs:
+        if key.startswith("data.") and value != cfg[key]:
             print(f"note: {key} = {cfg[key]}, but {ckpt} was trained with {value}")
 
 

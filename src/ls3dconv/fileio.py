@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ShapeError
 
 # Every zip archive np.savez writes starts with a local file header.
 _ZIP_MAGIC = b"PK\x03\x04"
@@ -82,13 +82,12 @@ def load_named_tensors(path) -> dict[str, np.ndarray]:
 # --- PGM -----------------------------------------------------------------
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Write a 2-D array as binary 8-bit PGM (P5), max-normalized."""
+    """Write a 2-D array of values in [0, 1] as binary 8-bit PGM (P5):
+    0 is black, 1 white, and values outside the range are clipped to it."""
     if image.ndim != 2:
-        raise CheckpointError(f"write_pgm: expected a 2-D array, got shape {image.shape}")
+        raise ShapeError(f"write_pgm: expected a 2-D array, got shape {image.shape}")
     img = np.asarray(image, dtype=np.float64)
-    peak = img.max()
-    scaled = img / peak if peak > 0 else img
-    pixels = np.clip(np.rint(scaled * 255.0), 0, 255).astype(np.uint8)
+    pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     h, w = pixels.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

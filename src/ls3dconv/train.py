@@ -171,9 +171,13 @@ def heldout_set(cfg: TrainConfig) -> list[Sample]:
 # --- loops -------------------------------------------------------------------
 
 def evaluate(net: VINet, samples: list[Sample]) -> list[EvalReport]:
+    """One report per sample; NumericError, naming the sample, on a
+    non-finite prediction, which would score as NaN."""
     reports = []
     for i, s in enumerate(samples):
         pred = net.forward(s.inputs)[:, :, s.eval_slice]
+        if not np.isfinite(pred).all():
+            raise NumericError(f"evaluate: non-finite prediction for clip {i}")
         reports.append(evaluate_pair(i, pred, s.targets[:, :, s.eval_slice]))
     return reports
 
@@ -193,8 +197,7 @@ class TrainResult:
     adam_state: "AdamState | None" = None
 
 
-def train_loop(net: VINet, config: TrainConfig,
-               abort_checkpoint_path=None) -> TrainResult:
+def train_loop(net: VINet, config: TrainConfig) -> TrainResult:
     if net.spec.task != config.task:
         raise ShapeError(f"net task '{net.spec.task}' does not match "
                          f"config task '{config.task}'")
@@ -217,11 +220,7 @@ def train_loop(net: VINet, config: TrainConfig,
             pred = net.forward(x, keep_state=True)
             loss, grad = l1_loss(pred, t)
             if not np.isfinite(loss):
-                if abort_checkpoint_path is not None:
-                    save_checkpoint(abort_checkpoint_path, net, state, config_echo="diverged")
-                raise NumericError(f"training diverged at step {step}: loss={loss}"
-                                   + (f"; last checkpoint at {abort_checkpoint_path}"
-                                      if abort_checkpoint_path else ""))
+                raise NumericError(f"training diverged at step {step}: loss={loss}")
             net.backward(grad)
             clip_grad_norm(net.grads, config.grad_clip)
             adam_step(params, net.grads, state, config)

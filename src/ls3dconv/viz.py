@@ -47,8 +47,9 @@ def sampling_map(model, x: np.ndarray, out_coord: tuple[int, int, int]) -> Sampl
 
 
 def emit_map_image(smap: SamplingMap, out_dir) -> list:
-    """One max-normalized PGM per input frame, `sampling_frame<t>.pgm`, plus
-    a top-50 coordinate CSV, `sampling_top50.csv`."""
+    """One PGM per input frame, `sampling_frame<t>.pgm`, plus a top-50
+    coordinate CSV, `sampling_top50.csv`. Every frame is divided by the
+    map's peak, so all frames share one scale on which the peak is white."""
     paths = []
     t_in = smap.maps.shape[0]
     peak = smap.norm_max if smap.norm_max > 0 else 1.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ls3dconv import cli
-from ls3dconv.cli import (ABLATION_VARIANTS, EXIT_CONFIG, EXIT_IO, EXIT_OK,
+from ls3dconv.cli import (ABLATION_VARIANTS, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           EXIT_SHAPE, load_config, main, map_in_workers)
 from ls3dconv.errors import ConfigError, ShapeError
 from ls3dconv.fileio import load_named_tensors, save_named_tensors
@@ -28,6 +28,16 @@ TINY = [
     "--set", "data.size=16",
     "--set", "data.motion=2.0",
 ]
+
+
+def run_cli(args: list[str], threads: str = "1") -> subprocess.CompletedProcess:
+    """`python -m ls3dconv *args` in a child process with `threads` BLAS
+    threads; OpenBLAS reads the count only as it loads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "ls3dconv", *args],
+                          env=env, capture_output=True, text=True, timeout=600)
 
 
 class TestConfig:
@@ -260,19 +270,42 @@ class TestTrainCommand:
     def test_loss_csv_independent_of_blas_threads(self, tmp_path):
         """One BLAS thread or two give the same loss.csv bytes. 32 channels
         make the GEMMs large enough for OpenBLAS to split them over threads."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
         csvs = []
         for threads in ("1", "2"):
             out = tmp_path / threads
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-            proc = subprocess.run(
-                [sys.executable, "-m", "ls3dconv", "train", *TINY, "--set", "net.channels=32",
-                 "--set", "train.seed=3", "--out", str(out)],
-                env=env, capture_output=True, text=True, timeout=600)
+            proc = run_cli(["train", *TINY, "--set", "net.channels=32",
+                            "--set", "train.seed=3", "--out", str(out)], threads)
             assert proc.returncode == EXIT_OK, proc.stderr
             csvs.append((out / "loss.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("blocks, epochs, failure", [
+        ("", 1, "evaluate: non-finite prediction for clip 0"),
+        ("", 3, "training diverged at step 1"),
+        ("all", 1, "ls3d: non-finite input"),
+    ], ids=["plain_scoring", "plain_loss", "all_ls3d_scoring"])
+    def test_failed_run_writes_no_artifact(self, tmp_path, blocks, epochs, failure):
+        """At learning rate 1e30 one Adam step leaves weights whose output is
+        not finite. The plain net fails in the held-out scoring, or, given a
+        second step, on its loss; the all-LS3D net fails in the sampling's
+        field check while scoring. Each run exits 4 and writes no
+        checkpoint.ls3d, loss.csv or eval.csv: a finished run's three files
+        in the directory keep their bytes, and a fresh directory gets none.
+        The runs are child processes because the overflow raises numpy
+        RuntimeWarnings, which this suite turns into errors."""
+        args = ["train", *TINY, "--set", f"net.ls3d_blocks={blocks}",
+                "--set", f"train.epochs={epochs}"]
+        names = ("checkpoint.ls3d", "loss.csv", "eval.csv")
+        finished, fresh = tmp_path / "finished", tmp_path / "fresh"
+        proc = run_cli([*args, "--out", str(finished)])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        before = {name: (finished / name).read_bytes() for name in names}
+        for out in (finished, fresh):
+            proc = run_cli([*args, "--set", "train.learning_rate=1e30", "--out", str(out)])
+            assert proc.returncode == EXIT_NUMERIC, proc.stderr
+            assert failure in proc.stderr
+        assert {name: (finished / name).read_bytes() for name in names} == before
+        assert not any((fresh / name).exists() for name in names)
 
     def test_eval_every_prints_epoch_scores_and_keeps_artifacts(self, tmp_path, capsys):
         """train.eval_every = 1 prints one held-out score line per epoch; the
@@ -299,7 +332,7 @@ class TestTrainCommand:
         """A ShapeError raised while a command runs exits 3. No configuration
         reaches one since data.size must be a multiple of 4, so one is raised
         in the training loop's place."""
-        def mismatched(net, config, abort_checkpoint_path=None):
+        def mismatched(net, config):
             raise ShapeError("input must be (N, 3, T, H, W)")
 
         monkeypatch.setattr(cli, "train_loop", mismatched)
@@ -391,8 +424,9 @@ class TestEvalCommand:
     def test_settings_unlike_checkpoint_noted(self, tmp_path, capsys, trained, evaluated,
                                               notes):
         """eval scores the held-out set its own data.* settings draw. A note
-        names each net.* and data.* setting that differs from the one the
-        checkpoint was trained with; exit code and eval.csv are as before."""
+        names each data.* setting that differs from the one the checkpoint
+        was trained with; exit code and eval.csv are as before. A net.*
+        setting needs none: a checkpoint loads only into the net it fits."""
         ckpt = tmp_path / "train" / "checkpoint.ls3d"
         sets = [[arg for item in items for arg in ("--set", item)]
                 for items in (trained, evaluated)]
@@ -408,7 +442,8 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize("echo", ["diverged", ""], ids=["diverged", "library_saved"])
     def test_checkpoint_without_configuration_noted(self, tmp_path, capsys, echo):
-        """The divergence abort checkpoint and one saved through the library
+        """An echo that is not configuration text (earlier versions wrote
+        "diverged" when training diverged) and one saved through the library
         without an echo record no settings to compare."""
         ckpt = tmp_path / "checkpoint.ls3d"
         net, _ = cli.configured_net(load_config(None, TINY[1::2]))
@@ -416,8 +451,17 @@ class TestEvalCommand:
         assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [l for l in lines if l.startswith("note:")] == \
-            [f"note: {ckpt} holds no configuration; its net.* and data.* settings "
-             "are not compared"]
+            [f"note: {ckpt} holds no configuration; its data.* settings are not compared"]
+
+    def test_nonfinite_prediction_exit_code(self, tmp_path, capsys):
+        """A checkpoint whose net predicts NaN exits 4, naming the clip, and
+        writes no eval.csv."""
+        net, _ = cli.configured_net(load_config(None, TINY[1::2]))
+        net.parameters()["dec2.bias"][0] = np.nan
+        save_checkpoint(tmp_path / "checkpoint.ls3d", net)
+        assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_NUMERIC
+        assert "non-finite prediction for clip 0" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
 
     def test_missing_checkpoint_is_io_error(self, tmp_path):
         code = main(["eval", *TINY, "--out", str(tmp_path),

@@ -81,14 +81,22 @@ class TestPgm:
     """The exact bytes: the P5 header `P5\\n<width> <height>\\n255\\n`, then
     one byte per pixel, row by row."""
 
-    def test_max_normalized_bytes(self, tmp_path):
+    def test_unit_interval_bytes(self, tmp_path):
         img = np.array([[0.0, 0.5], [1.0, 2.0]])
         p = tmp_path / "img.pgm"
         write_pgm(p, img)
-        # The peak maps to white; 0.25 * 255 and 0.5 * 255 round to 64 and 128.
-        assert p.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255])
+        # 1 maps to white and 2 is clipped to it; 0.5 * 255 rounds to 128.
+        assert p.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 128, 255, 255])
 
     def test_constant_map_is_uniform(self, tmp_path):
         p = tmp_path / "const.pgm"
         write_pgm(p, np.full((3, 4), 0.7))
-        assert p.read_bytes() == b"P5\n4 3\n255\n" + b"\xff" * 12
+        # 0.7 * 255 = 178.5 rounds to the even 178.
+        assert p.read_bytes() == b"P5\n4 3\n255\n" + bytes([178]) * 12
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_non_2d_array_is_shape_error(self, tmp_path, shape):
+        p = tmp_path / "img.pgm"
+        with pytest.raises(ShapeError, match="2-D"):
+            write_pgm(p, np.zeros(shape))
+        assert not p.exists()

@@ -162,6 +162,18 @@ class TestTrainLoop:
         result = train_loop(net, cfg)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
+    def test_evaluate_rejects_nonfinite_prediction(self):
+        """A NaN prediction would score as NaN; evaluate names the clip
+        instead. The net is all plain convs, so the NaN input reaches the
+        output rather than LS3D's own input check."""
+        net = build_net(NetworkSpec(channels=4, num_resblocks=2,
+                                    temporal_deconv_after=frozenset({1, 2})), seed=0)
+        samples = train.make_dataset(small_interp_config(), 2, seed_base=5)
+        assert len(train.evaluate(net, samples)) == 2
+        samples[1].inputs[0, 0, 0, 0, 0] = np.nan
+        with pytest.raises(NumericError, match="clip 1"):
+            train.evaluate(net, samples)
+
     @pytest.mark.parametrize("eval_every,datasets", [(0, 1), (1, 2)])
     def test_eval_set_built_only_when_evaluating(self, monkeypatch, eval_every, datasets):
         built = []

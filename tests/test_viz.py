@@ -79,6 +79,22 @@ class TestEmitMapImage:
         path = Path(emit_map_image(smap, tmp_path)[0])
         assert path.read_bytes() == b"P5\n6 6\n255\n" + pixels
 
+    def test_frames_share_the_map_peak(self, tmp_path):
+        """A frame is scaled by the whole map's peak, not its own: frames
+        peaking at 1.0 and 0.01 write 255 and rint(2.55) = 3 as their
+        brightest bytes."""
+        maps = np.zeros((2, 4, 4))
+        maps[0, 1, 2] = 1.0
+        maps[1, 3, 0] = 0.01
+        paths = emit_map_image(SamplingMap(maps, (0, 2, 2), 1.0), tmp_path)
+        header = b"P5\n4 4\n255\n"
+        brightest = []
+        for path in paths[:2]:
+            data = Path(path).read_bytes()
+            assert data.startswith(header)
+            brightest.append(max(data[len(header):]))
+        assert brightest == [255, 3]
+
     def test_csv_top1_is_argmax(self, tmp_path):
         rng = np.random.default_rng(4)
         maps = rng.uniform(0, 1, (2, 5, 5))
