@@ -25,10 +25,11 @@ import numpy as np
 
 from .conv3d import Conv3dParams, conv3d_backward, conv3d_forward
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
+from .fileio import atomic_open
 from .gradcheck import gradcheck
 from .ls3d import Ls3dConv, ls3d_backward, ls3d_forward, num_taps
-from .net import (SIZE_MULTIPLE, Conv3dLayer, NetworkSpec, Sequential, VINet, build_net,
-                  make_ls3d_layer)
+from .net import (KERNEL, PADDING, SIZE_MULTIPLE, Conv3dLayer, NetworkSpec, Sequential, VINet,
+                  build_net, make_ls3d_layer)
 from .train import (TrainConfig, evaluate, heldout_set, load_checkpoint, make_dataset,
                     mean_quality, save_checkpoint, train_loop, write_loss_csv)
 from .metrics import SSIM_WINDOW, write_eval_csv
@@ -168,14 +169,8 @@ def config_text(cfg: dict) -> str:
     return "\n".join(f"{key} = {value}" for key, value in sorted(cfg.items()))
 
 
-def echo_config(cfg: dict) -> None:
-    print("# resolved configuration")
-    print(config_text(cfg))
-
-
 def _parse_block_set(raw: str) -> frozenset[int]:
-    raw = raw.strip().lower()
-    if raw in ("", "none"):
+    if not raw:
         return frozenset()
     if raw == "all":
         return frozenset(range(1, NetworkSpec.num_resblocks + 1))
@@ -186,8 +181,8 @@ def _parse_block_set(raw: str) -> frozenset[int]:
 
 
 def network_spec(cfg: dict) -> NetworkSpec:
-    """The configured net; block count, deconv placement and branch kernel
-    are NetworkSpec's defaults."""
+    """The configured net; block count and deconv placement are
+    NetworkSpec's defaults."""
     return NetworkSpec(channels=cfg["net.channels"],
                        ls3d_block_indices=_parse_block_set(cfg["net.ls3d_blocks"]),
                        task=cfg["net.task"])
@@ -363,7 +358,7 @@ def cmd_ablate(cfg: dict, out: Path) -> int:
         print(f"variant {variant:10s} seed {seed}: PSNR {p:.2f} dB, SSIM {s:.4f}")
 
     path = out / "ablation.csv"
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["variant", "psnr_db", "ssim"])
         for variant, vruns in table.items():
@@ -424,9 +419,9 @@ def cmd_bench(cfg: dict, out: Path) -> int:
     repeats = cfg["bench.repeats"]
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, c, t, h, w)).astype(np.float32)
-    weight = rng.standard_normal((c, c, 3, 3, 3)).astype(np.float32)
-    params = Conv3dParams(weight, np.zeros(c, dtype=np.float32), padding=(1, 1, 1))
-    taps = num_taps((3, 3, 3))
+    weight = rng.standard_normal((c, c, *KERNEL)).astype(np.float32)
+    params = Conv3dParams(weight, np.zeros(c, dtype=np.float32), padding=PADDING)
+    taps = num_taps(KERNEL)
     offsets = (rng.standard_normal((n, 2 * taps, t, h, w)) * 0.7).astype(np.float32)
     masks = rng.uniform(0.2, 0.8, (n, taps, t, h, w)).astype(np.float32)
     grad_y = rng.standard_normal(x.shape).astype(np.float32)
@@ -462,13 +457,14 @@ def cmd_bench(cfg: dict, out: Path) -> int:
     for name, fn, op_macs, saved_mb in ops:
         secs, faults = timeit(fn)
         rows.append((name, secs, 1.0 / secs, op_macs / secs, faults, saved_mb))
-    print(f"shape ({n},{c},{t},{h},{w}), kernel 3x3x3, best of {repeats}")
+    print(f"shape ({n},{c},{t},{h},{w}), kernel {'x'.join(map(str, KERNEL))}, "
+          f"best of {repeats}")
     for name, secs, calls, mps, faults, saved_mb in rows:
         saved = "" if saved_mb is None else f"  {saved_mb:8.3f} MB saved"
         print(f"{name:15s} {secs * 1e3:9.2f} ms/call  {calls:8.2f} calls/s  "
               f"{mps / 1e6:9.1f} MMAC/s  {faults:8.1f} minor faults/call{saved}")
     path = out / "bench.csv"
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["op", "seconds_per_call", "calls_per_sec", "mac_per_sec",
                          "minor_faults_per_call", "saved_mb"])
@@ -507,7 +503,8 @@ def main(argv=None) -> int:
             viz_coord(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        echo_config(cfg)
+        print("# resolved configuration")
+        print(config_text(cfg))
         return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -110,7 +110,22 @@ class Conv3dParams:
     output_padding: Triple = (0, 0, 0)  # used only when transposed
 
     def __post_init__(self):
-        self.validate()
+        if self.weight.ndim != 5:
+            raise ShapeError(f"conv weight must be 5-D, got shape {self.weight.shape}")
+        if self.bias.ndim != 1 or self.bias.shape[0] != self.out_channels:
+            raise ShapeError(f"bias length {self.bias.shape} does not match "
+                             f"{self.out_channels} output channels")
+        if not self.transposed:
+            for name, k in zip("THW", self.kernel):
+                if k % 2 != 1:
+                    raise ShapeError(f"kernel K_{name} must be odd for forward conv, got {k}")
+        for name, s in zip("THW", self.stride):
+            if s < 1:
+                raise ShapeError(f"stride s_{name} must be >= 1, got {s}")
+        if self.transposed:
+            for name, (o, s) in zip("THW", zip(self.output_padding, self.stride)):
+                if not 0 <= o < s:
+                    raise ShapeError(f"output_padding o_{name}={o} must satisfy 0 <= o < stride={s}")
 
     @property
     def kernel(self) -> Triple:
@@ -138,24 +153,6 @@ class Conv3dParams:
                                  f"size={size}, kernel={k}, stride={s}, pad={p}")
             out.append(o)
         return tuple(out)
-
-    def validate(self) -> None:
-        if self.weight.ndim != 5:
-            raise ShapeError(f"conv weight must be 5-D, got shape {self.weight.shape}")
-        if self.bias.ndim != 1 or self.bias.shape[0] != self.out_channels:
-            raise ShapeError(f"bias length {self.bias.shape} does not match "
-                             f"{self.out_channels} output channels")
-        if not self.transposed:
-            for name, k in zip("THW", self.kernel):
-                if k % 2 != 1:
-                    raise ShapeError(f"kernel K_{name} must be odd for forward conv, got {k}")
-        for name, s in zip("THW", self.stride):
-            if s < 1:
-                raise ShapeError(f"stride s_{name} must be >= 1, got {s}")
-        if self.transposed:
-            for name, (o, s) in zip("THW", zip(self.output_padding, self.stride)):
-                if not 0 <= o < s:
-                    raise ShapeError(f"output_padding o_{name}={o} must satisfy 0 <= o < stride={s}")
 
 
 def _check_input(x: np.ndarray, params: Conv3dParams, op: str) -> None:

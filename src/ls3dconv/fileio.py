@@ -1,4 +1,5 @@
-"""File formats: checkpoints and PGM images.
+"""File formats: checkpoints and PGM images, and the atomic write every
+artifact goes through.
 
 A checkpoint is an uncompressed numpy archive (`np.savez`): a zip file
 with one `<name>.npy` member per tensor. Zip's CRC-32 covers every
@@ -8,6 +9,7 @@ the same tensors always give the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import zipfile
 from pathlib import Path
@@ -28,24 +30,32 @@ _DAMAGED = (zipfile.BadZipFile, ValueError, MemoryError, RuntimeError,
             NotImplementedError, EOFError, OSError)
 
 
-# --- checkpoint ----------------------------------------------------------
+@contextlib.contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """`open(path, mode, **kwargs)` for writing, where the file replaces
+    `path` only once it is complete.
 
-def save_named_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write a checkpoint file, atomically.
-
-    The bytes go to a temporary file in the same directory, which then
-    replaces `path`. A write that fails part-way removes the temporary
-    file and leaves any previous file at `path` as it was.
+    The bytes go to a temporary file in the same directory, which replaces
+    `path` when the block ends. A write that fails part-way removes the
+    temporary file and leaves any previous file at `path` as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as f:
-            np.savez(f, allow_pickle=False, **tensors)
+        with open(tmp, mode, **kwargs) as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+# --- checkpoint ----------------------------------------------------------
+
+def save_named_tensors(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write a checkpoint file, atomically."""
+    with atomic_open(path, "wb") as f:
+        np.savez(f, allow_pickle=False, **tensors)
 
 
 def load_named_tensors(path) -> dict[str, np.ndarray]:
@@ -89,7 +99,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     img = np.asarray(image, dtype=np.float64)
     pixels = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     h, w = pixels.shape
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())
 

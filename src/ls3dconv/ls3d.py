@@ -389,7 +389,10 @@ class Ls3dConv:
 
     def forward(self, x: np.ndarray, keep_state: bool = False) -> np.ndarray:
         offsets, masks, branch_ctx = self._predict(x)
-        y, core_ctx = ls3d_forward(x, self.main, offsets, masks)
+        try:
+            y, core_ctx = ls3d_forward(x, self.main, offsets, masks)
+        except NumericError as exc:
+            raise NumericError(f"{self.name}: {exc}") from exc
         if keep_state:
             self._state = (core_ctx, branch_ctx)
         else:
@@ -412,12 +415,7 @@ class Ls3dConv:
         grad_raw[:, :split] = grad_off
         np.multiply(grad_masks * masks, 1 - masks, out=grad_raw[:, split:])
         gx_branch, gw_branch, gb_branch = conv3d_backward(branch_ctx, grad_raw)
-        self.grads = {
-            f"{self.name}.weight": grad_w,
-            f"{self.name}.bias": grad_b,
-            f"{self.name}.offset.weight": gw_branch[:split],
-            f"{self.name}.offset.bias": gb_branch[:split],
-            f"{self.name}.mask.weight": gw_branch[split:],
-            f"{self.name}.mask.bias": gb_branch[split:],
-        }
+        grads = (grad_w, grad_b, gw_branch[:split], gb_branch[:split], gw_branch[split:],
+                 gb_branch[split:])
+        self.grads = dict(zip(self.parameters(), grads, strict=True))
         return grad_x + gx_branch

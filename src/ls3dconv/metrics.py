@@ -3,8 +3,8 @@
 PSNR is computed per frame (over channels and pixels of each (n, t)
 slice) and averaged; identical frames yield math.inf, which propagates
 through the mean as the documented sentinel. SSIM follows the standard
-single-scale formulation: luma conversion, 11x11 Gaussian window with
-sigma 1.5, C1 = 0.01^2 and C2 = 0.03^2 on the [0, 1] range.
+single-scale formulation on RGB frames: luma conversion, 11x11 Gaussian
+window with sigma 1.5, C1 = 0.01^2 and C2 = 0.03^2 on the [0, 1] range.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
+from .fileio import atomic_open
 from .tensor import check_same_shape
 
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -53,11 +54,9 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _to_luma(x: np.ndarray) -> np.ndarray:
-    if x.shape[1] == 3:
-        return np.tensordot(_LUMA, x.astype(np.float64), axes=([0], [1]))  # (N, T, H, W)
-    if x.shape[1] == 1:
-        return x[:, 0].astype(np.float64)
-    raise ShapeError(f"ssim expects 1 or 3 channels, got {x.shape[1]}")
+    if x.shape[1] != 3:
+        raise ShapeError(f"ssim expects 3 (RGB) channels, got {x.shape[1]}")
+    return np.tensordot(_LUMA, x.astype(np.float64), axes=([0], [1]))  # (N, T, H, W)
 
 
 def _blur(img: np.ndarray) -> np.ndarray:
@@ -69,7 +68,7 @@ def _blur(img: np.ndarray) -> np.ndarray:
 
 
 def ssim_frames(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """Per-frame grayscale SSIM over all (n, t) slices."""
+    """Per-frame SSIM of the luma of RGB frames, over all (n, t) slices."""
     check_same_shape(a, b, "ssim")
     h, w = a.shape[3:]
     if h < SSIM_WINDOW or w < SSIM_WINDOW:
@@ -118,7 +117,7 @@ def evaluate_pair(clip_id: int, pred: np.ndarray, target: np.ndarray) -> EvalRep
 
 
 def write_eval_csv(path, reports: list[EvalReport]) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["clip_id", "frame", "psnr_db", "ssim"])
         for rep in reports:

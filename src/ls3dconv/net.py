@@ -33,6 +33,10 @@ from .ls3d import Ls3dConv, num_taps
 from .tensor import relu_backward
 
 IN_CHANNELS = 3
+# Every conv of the nets: 3x3x3, padded by 1 on each side, so that a
+# stride-1 conv keeps T, H and W.
+KERNEL = (3, 3, 3)
+PADDING = (1, 1, 1)
 # H and W must be multiples of this: the encoder's two stride-2 convs halve
 # them, and the decoder's two doubles them back.
 SIZE_MULTIPLE = 4
@@ -65,7 +69,7 @@ class Conv3dLayer:
             raise ShapeError(f"{self.name}: backward called without a keep-state forward")
         bwd = conv3d_transpose_backward if self.params.transposed else conv3d_backward
         grad_x, grad_w, grad_b = bwd(self._ctx, grad_y)
-        self.grads = {f"{self.name}.weight": grad_w, f"{self.name}.bias": grad_b}
+        self.grads = dict(zip(self.parameters(), (grad_w, grad_b), strict=True))
         self._ctx = None
         return grad_x
 
@@ -148,9 +152,7 @@ class ResBlock(Sequential):
 
     def __init__(self, first, second: Conv3dLayer, name: str):
         self.first = first
-        self.relu = ReluLayer(f"{name}.relu")
-        self.second = second
-        super().__init__([first, self.relu, second], name)
+        super().__init__([first, ReluLayer(f"{name}.relu"), second], name)
 
     def forward(self, x: np.ndarray, keep_state: bool = False) -> np.ndarray:
         return x + super().forward(x, keep_state)
@@ -192,28 +194,28 @@ class NetworkSpec:
                               "(temporal size is preserved)")
 
 
-def _conv(rng, c_in, c_out, kernel, stride, pad, dtype, transposed=False,
-          output_padding=(0, 0, 0), zero=False):
-    shape = (c_in, c_out, *kernel) if transposed else (c_out, c_in, *kernel)
+def _conv(rng, c_in, c_out, stride, dtype, transposed=False, output_padding=(0, 0, 0),
+          zero=False):
+    shape = (c_in, c_out, *KERNEL) if transposed else (c_out, c_in, *KERNEL)
     if zero:
         weight = np.zeros(shape, dtype=dtype)
     else:
         # Fan-in of the receiving unit: input channels times kernel volume.
-        fan_in = (shape[0] if transposed else shape[1]) * int(np.prod(kernel))
+        fan_in = (shape[0] if transposed else shape[1]) * int(np.prod(KERNEL))
         bound = 1.0 / np.sqrt(fan_in)
         weight = rng.uniform(-bound, bound, size=shape).astype(dtype)
     bias = np.zeros(c_out, dtype=dtype)
-    return Conv3dParams(weight, bias, stride=stride, padding=pad,
+    return Conv3dParams(weight, bias, stride=stride, padding=PADDING,
                         transposed=transposed, output_padding=output_padding)
 
 
 def make_ls3d_layer(rng, channels: int, name: str, dtype=np.float32,
                     random_branches: bool = False) -> Ls3dConv:
-    """One sampling conv with a zero-initialized (or small random) 3x3x3
-    branch conv: 2*taps offset channels, then taps mask logits."""
-    main = _conv(rng, channels, channels, (3, 3, 3), (1, 1, 1), (1, 1, 1), dtype)
-    branches = _conv(rng, channels, 3 * num_taps((3, 3, 3)), (3, 3, 3), (1, 1, 1), (1, 1, 1),
-                     dtype, zero=not random_branches)
+    """One sampling conv with a zero-initialized (or small random) branch
+    conv: 2*taps offset channels, then taps mask logits."""
+    main = _conv(rng, channels, channels, (1, 1, 1), dtype)
+    branches = _conv(rng, channels, 3 * num_taps(KERNEL), (1, 1, 1), dtype,
+                     zero=not random_branches)
     if random_branches:
         branches.weight *= 0.1
     return Ls3dConv(main, branches, name=name)
@@ -248,10 +250,9 @@ def build_net(spec: NetworkSpec, seed: int) -> VINet:
     dt = spec.dtype
     layers: list = []
 
-    layers.append(Conv3dLayer(_conv(rng, IN_CHANNELS, c, (3, 3, 3), (1, 2, 2), (1, 1, 1), dt),
-                              "enc1"))
+    layers.append(Conv3dLayer(_conv(rng, IN_CHANNELS, c, (1, 2, 2), dt), "enc1"))
     layers.append(ReluLayer("enc1.relu"))
-    layers.append(Conv3dLayer(_conv(rng, c, c, (3, 3, 3), (1, 2, 2), (1, 1, 1), dt), "enc2"))
+    layers.append(Conv3dLayer(_conv(rng, c, c, (1, 2, 2), dt), "enc2"))
     layers.append(ReluLayer("enc2.relu"))
 
     n_tdeconv = 0
@@ -260,21 +261,18 @@ def build_net(spec: NetworkSpec, seed: int) -> VINet:
         if i in spec.ls3d_block_indices:
             first = make_ls3d_layer(rng, c, f"{name}.conv1", dt)
         else:
-            first = Conv3dLayer(_conv(rng, c, c, (3, 3, 3), (1, 1, 1), (1, 1, 1), dt),
-                                f"{name}.conv1")
-        second = Conv3dLayer(_conv(rng, c, c, (3, 3, 3), (1, 1, 1), (1, 1, 1), dt),
-                             f"{name}.conv2")
+            first = Conv3dLayer(_conv(rng, c, c, (1, 1, 1), dt), f"{name}.conv1")
+        second = Conv3dLayer(_conv(rng, c, c, (1, 1, 1), dt), f"{name}.conv2")
         layers.append(ResBlock(first, second, name))
         if i in spec.temporal_deconv_after:
             n_tdeconv += 1
-            layers.append(Conv3dLayer(
-                _conv(rng, c, c, (3, 3, 3), (2, 1, 1), (1, 1, 1), dt,
-                      transposed=True), f"tdeconv{n_tdeconv}"))
+            layers.append(Conv3dLayer(_conv(rng, c, c, (2, 1, 1), dt, transposed=True),
+                                      f"tdeconv{n_tdeconv}"))
             layers.append(ReluLayer(f"tdeconv{n_tdeconv}.relu"))
 
-    layers.append(Conv3dLayer(_conv(rng, c, c, (3, 3, 3), (1, 2, 2), (1, 1, 1), dt,
-                                    transposed=True, output_padding=(0, 1, 1)), "dec1"))
+    layers.append(Conv3dLayer(_conv(rng, c, c, (1, 2, 2), dt, transposed=True,
+                                    output_padding=(0, 1, 1)), "dec1"))
     layers.append(ReluLayer("dec1.relu"))
-    layers.append(Conv3dLayer(_conv(rng, c, IN_CHANNELS, (3, 3, 3), (1, 2, 2), (1, 1, 1), dt,
-                                    transposed=True, output_padding=(0, 1, 1)), "dec2"))
+    layers.append(Conv3dLayer(_conv(rng, c, IN_CHANNELS, (1, 2, 2), dt, transposed=True,
+                                    output_padding=(0, 1, 1)), "dec2"))
     return VINet(spec, layers)

@@ -114,8 +114,6 @@ def gen_clip(spec: ClipSpec) -> np.ndarray:
 
 def add_gaussian_noise(frames: np.ndarray, sigma_8bit: float, seed: int) -> np.ndarray:
     """Additive i.i.d. Gaussian noise at sigma/255, clamped back to [0, 1]."""
-    if sigma_8bit == 0:
-        return frames.copy()
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(frames.shape) * (sigma_8bit / 255.0)
     return np.clip(frames + noise.astype(frames.dtype), 0.0, 1.0)

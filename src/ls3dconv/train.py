@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
-from .fileio import load_named_tensors, save_named_tensors
+from .fileio import atomic_open, load_named_tensors, save_named_tensors
 from .metrics import EvalReport, evaluate_pair, l1_loss
 from .net import VINet
 from .synthdata import add_gaussian_noise, gen_clip, random_clip_spec
@@ -194,7 +194,7 @@ class TrainResult:
     loss_rows: list[tuple[int, float]]          # (step, loss), one per step
     epoch_losses: list[float]
     eval_history: list[tuple[int, float, float]]  # (epoch, psnr, ssim)
-    adam_state: "AdamState | None" = None
+    adam_state: AdamState
 
 
 def train_loop(net: VINet, config: TrainConfig) -> TrainResult:
@@ -243,7 +243,7 @@ def train_loop(net: VINet, config: TrainConfig) -> TrainResult:
 
 
 def write_loss_csv(path, rows: list[tuple[int, float]]) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "loss"])
         for step, loss in rows:
@@ -252,38 +252,33 @@ def write_loss_csv(path, rows: list[tuple[int, float]]) -> None:
 
 # --- checkpoints ---------------------------------------------------------------
 
-def save_checkpoint(path, net: VINet, state: AdamState | None = None,
-                    config_echo: str = "") -> None:
-    tensors: dict[str, np.ndarray] = {}
-    for name, p in net.parameters().items():
-        tensors[f"param/{name}"] = p
-    if state is not None:
-        for name, m in state.m.items():
-            tensors[f"adam.m/{name}"] = m
-        for name, v in state.v.items():
-            tensors[f"adam.v/{name}"] = v
-        tensors["step"] = np.array([float(state.step)], dtype=np.float64)
+def save_checkpoint(path, net: VINet, state: AdamState, config_echo: str = "") -> None:
+    """Write the net's parameters, the Adam moments of each and the step
+    count, and the config echo, atomically."""
+    tensors = {f"param/{name}": p for name, p in net.parameters().items()}
+    tensors.update({f"adam.m/{name}": m for name, m in state.m.items()})
+    tensors.update({f"adam.v/{name}": v for name, v in state.v.items()})
+    tensors["step"] = np.array([float(state.step)], dtype=np.float64)
     tensors["config"] = np.frombuffer(config_echo.encode("utf-8"), dtype=np.uint8).copy() \
         if config_echo else np.zeros(0, dtype=np.uint8)
     save_named_tensors(path, tensors)
 
 
-def load_checkpoint(path, net: VINet) -> tuple[AdamState | None, str]:
+def load_checkpoint(path, net: VINet) -> tuple[AdamState, str]:
     """Restore parameters (bit-identical) into net; returns (adam state, config echo).
 
-    The checkpoint must hold exactly the net's parameters and the config
-    echo, plus, if it holds `step`, an Adam moment pair for every
-    parameter, and a `step` that is a whole number >= 0. Everything is
+    The checkpoint must hold exactly what `save_checkpoint` writes: the
+    net's parameters, an Adam moment pair for every parameter, a `step`
+    that is a whole number >= 0, and the config echo. Everything is
     checked before the net is touched, so a failed load leaves no
     partially restored parameter set behind.
     """
     tensors = load_named_tensors(path)
     params = net.parameters()
     # Name -> an array of the shape and dtype that tensor must have.
-    expected = {f"param/{n}": p for n, p in params.items()}
-    if "step" in tensors:
-        expected.update({f"adam.{mv}/{n}": p for mv in "mv" for n, p in params.items()})
-        expected["step"] = np.zeros(1)
+    expected = {f"{group}/{n}": p for group in ("param", "adam.m", "adam.v")
+                for n, p in params.items()}
+    expected["step"] = np.zeros(1)
     for key in [*expected, "config"]:
         if key not in tensors:
             raise CheckpointError(f"{path}: missing tensor '{key}'")
@@ -295,21 +290,16 @@ def load_checkpoint(path, net: VINet) -> tuple[AdamState | None, str]:
     extra = [k for k in tensors if k not in expected and k != "config"]
     if extra:
         raise CheckpointError(f"{path}: {len(extra)} unexpected tensor(s), first "
-                              f"'{extra[0]}': not a parameter of this net, or Adam "
-                              "moments without 'step'")
-    if "step" in tensors:
-        step = tensors["step"][0]
-        if not (np.isfinite(step) and step >= 0 and step == np.floor(step)):
-            raise CheckpointError(f"{path}: 'step' is {step}, not a whole number >= 0")
+                              f"'{extra[0]}': not a parameter of this net")
+    step = tensors["step"][0]
+    if not (np.isfinite(step) and step >= 0 and step == np.floor(step)):
+        raise CheckpointError(f"{path}: 'step' is {step}, not a whole number >= 0")
     try:
         echo = tensors["config"].tobytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{path}: config echo is not UTF-8 ({exc})") from exc
-    state = None
-    if "step" in tensors:
-        state = AdamState(m={n: tensors[f"adam.m/{n}"] for n in params},
-                          v={n: tensors[f"adam.v/{n}"] for n in params},
-                          step=int(step))
+    state = AdamState(m={n: tensors[f"adam.m/{n}"] for n in params},
+                      v={n: tensors[f"adam.v/{n}"] for n in params}, step=int(step))
     for name, p in params.items():
         p[...] = tensors[f"param/{name}"]
     return state, echo

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
-from .fileio import write_pgm
+from .errors import NumericError, ShapeError
+from .fileio import atomic_open, write_pgm
 
 __all__ = ["SamplingMap", "sampling_map", "emit_map_image", "receptive_field",
            "support_within", "support_centroid"]
@@ -25,13 +25,13 @@ __all__ = ["SamplingMap", "sampling_map", "emit_map_image", "receptive_field",
 @dataclass
 class SamplingMap:
     maps: np.ndarray                  # (T_in, H, W), channel-summed |gradient|
-    out_coord: tuple[int, int, int]   # (frame, row, col) on the output
     norm_max: float
     all_zero: bool = False            # the output pixel is disconnected from the input
 
 
 def sampling_map(model, x: np.ndarray, out_coord: tuple[int, int, int]) -> SamplingMap:
-    """Backpropagate from one output pixel and return per-input-frame |grad|."""
+    """Backpropagate from one output pixel and return per-input-frame |grad|;
+    NumericError if the map is not finite, as from a net that is not."""
     y = model.forward(x, keep_state=True)
     frame, row, col = out_coord
     _, _, t_out, h_out, w_out = y.shape
@@ -42,8 +42,10 @@ def sampling_map(model, x: np.ndarray, out_coord: tuple[int, int, int]) -> Sampl
     grad_y[0, :, frame, row, col] = 1.0
     grad_x = model.backward(grad_y)
     maps = np.abs(grad_x[0]).sum(axis=0)  # (T_in, H, W)
+    if not np.isfinite(maps).all():
+        raise NumericError(f"sampling map of output point {out_coord} is not finite")
     peak = float(maps.max())
-    return SamplingMap(maps, out_coord, peak, peak == 0.0)
+    return SamplingMap(maps, peak, peak == 0.0)
 
 
 def emit_map_image(smap: SamplingMap, out_dir) -> list:
@@ -59,7 +61,7 @@ def emit_map_image(smap: SamplingMap, out_dir) -> list:
         paths.append(path)
     csv_path = f"{out_dir}/sampling_top50.csv"
     order = np.argsort(smap.maps, axis=None)[::-1][:50]
-    with open(csv_path, "w", newline="") as f:
+    with atomic_open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["rank", "frame", "row", "col", "magnitude"])
         for rank, flat_idx in enumerate(order, start=1):

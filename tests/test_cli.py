@@ -1,6 +1,7 @@
 """Command-line surface: config handling, exit codes, artifacts."""
 
 import csv
+import errno
 import io
 import os
 import subprocess
@@ -15,9 +16,9 @@ from ls3dconv import cli
 from ls3dconv.cli import (ABLATION_VARIANTS, EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                           EXIT_SHAPE, load_config, main, map_in_workers)
 from ls3dconv.errors import ConfigError, ShapeError
-from ls3dconv.fileio import load_named_tensors, save_named_tensors
+from ls3dconv.fileio import load_named_tensors, save_named_tensors, write_pgm
 from ls3dconv.net import ResBlock, build_net
-from ls3dconv.train import make_dataset, save_checkpoint
+from ls3dconv.train import AdamState, make_dataset, save_checkpoint, write_loss_csv
 
 TINY = [
     "--set", "net.channels=4",
@@ -126,7 +127,8 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("item", ["train.learning_rate=-1", "train.eval_every=-2",
-                                      "net.ls3d_blocks=7", "net.channels=0", "net.task=foo"])
+                                      "net.ls3d_blocks=7", "net.ls3d_blocks=none",
+                                      "net.ls3d_blocks=ALL", "net.channels=0", "net.task=foo"])
     def test_spec_rule_rejected_before_any_work(self, tmp_path, capsys, item):
         """NetworkSpec and TrainConfig rules are checked before the output
         directory is made."""
@@ -250,6 +252,25 @@ class TestConfig:
         assert set(cli.SCHEMA) - read == set()
 
 
+class FullDisk:
+    """A file whose writes after the first fail, as on a full disk."""
+
+    def __init__(self, f):
+        self._f, self._writes = f, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._f.write(data)
+
+
 class TestTrainCommand:
     def test_artifacts_and_echo(self, tmp_path, capsys):
         code = main(["train", *TINY, "--out", str(tmp_path), "--set", "train.seed=1"])
@@ -282,13 +303,14 @@ class TestTrainCommand:
     @pytest.mark.parametrize("blocks, epochs, failure", [
         ("", 1, "evaluate: non-finite prediction for clip 0"),
         ("", 3, "training diverged at step 1"),
-        ("all", 1, "ls3d: non-finite input"),
+        ("all", 1, "block1.conv1: ls3d: non-finite input"),
     ], ids=["plain_scoring", "plain_loss", "all_ls3d_scoring"])
     def test_failed_run_writes_no_artifact(self, tmp_path, blocks, epochs, failure):
         """At learning rate 1e30 one Adam step leaves weights whose output is
         not finite. The plain net fails in the held-out scoring, or, given a
         second step, on its loss; the all-LS3D net fails in the sampling's
-        field check while scoring. Each run exits 4 and writes no
+        field check while scoring, and the error names the first LS3D layer,
+        which the non-finite encoder output reaches. Each run exits 4 and writes no
         checkpoint.ls3d, loss.csv or eval.csv: a finished run's three files
         in the directory keep their bytes, and a fresh directory gets none.
         The runs are child processes because the overflow raises numpy
@@ -306,6 +328,24 @@ class TestTrainCommand:
             assert failure in proc.stderr
         assert {name: (finished / name).read_bytes() for name in names} == before
         assert not any((fresh / name).exists() for name in names)
+
+    @pytest.mark.parametrize("name", ["loss.csv", "sampling_frame0.pgm"])
+    def test_failed_write_keeps_finished_file(self, tmp_path, monkeypatch, name):
+        """A loss.csv or PGM write that fails part-way, as on a full disk,
+        leaves the finished run's file with its bytes and no temporary file
+        beside it."""
+        assert main(["train", *TINY, "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["viz", *TINY, "--out", str(tmp_path)]) == EXIT_OK
+        path = tmp_path / name
+        before = sorted(tmp_path.iterdir()), path.read_bytes()
+        write = {"loss.csv": lambda: write_loss_csv(path, [(1, 0.5), (2, 0.25)]),
+                 "sampling_frame0.pgm": lambda: write_pgm(path, np.zeros((16, 16)))}[name]
+        real_open = open
+        with monkeypatch.context() as m:
+            m.setattr("builtins.open", lambda *args, **kw: FullDisk(real_open(*args, **kw)))
+            with pytest.raises(OSError, match="No space left on device"):
+                write()
+        assert (sorted(tmp_path.iterdir()), path.read_bytes()) == before
 
     def test_eval_every_prints_epoch_scores_and_keeps_artifacts(self, tmp_path, capsys):
         """train.eval_every = 1 prints one held-out score line per epoch; the
@@ -447,7 +487,7 @@ class TestEvalCommand:
         without an echo record no settings to compare."""
         ckpt = tmp_path / "checkpoint.ls3d"
         net, _ = cli.configured_net(load_config(None, TINY[1::2]))
-        save_checkpoint(ckpt, net, config_echo=echo)
+        save_checkpoint(ckpt, net, AdamState.init(net.parameters()), config_echo=echo)
         assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [l for l in lines if l.startswith("note:")] == \
@@ -458,7 +498,7 @@ class TestEvalCommand:
         writes no eval.csv."""
         net, _ = cli.configured_net(load_config(None, TINY[1::2]))
         net.parameters()["dec2.bias"][0] = np.nan
-        save_checkpoint(tmp_path / "checkpoint.ls3d", net)
+        save_checkpoint(tmp_path / "checkpoint.ls3d", net, AdamState.init(net.parameters()))
         assert main(["eval", *TINY, "--out", str(tmp_path)]) == EXIT_NUMERIC
         assert "non-finite prediction for clip 0" in capsys.readouterr().err
         assert not (tmp_path / "eval.csv").exists()
@@ -598,6 +638,19 @@ class TestVizCommand:
         for p in pgms:
             assert str(p) in out
 
+    def test_nonfinite_net_exit_code(self, tmp_path, capsys):
+        """A checkpoint whose net is not finite gives a sampling map that is
+        not finite: `viz` exits 4 and writes no file."""
+        net = build_net(cli.network_spec(load_config(None, TINY[1::2])), seed=0)
+        net.parameters()["enc1.weight"][0, 0, 0, 0, 0] = np.nan
+        ckpt = tmp_path / "nan.ls3d"
+        save_checkpoint(ckpt, net, AdamState.init(net.parameters()))
+        out = tmp_path / "out"
+        code = main(["viz", *TINY, "--set", f"viz.checkpoint={ckpt}", "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "sampling map of output point (2, 8, 8) is not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_all_zero_map_warned_once(self, tmp_path, capsys):
         """A net of zero weights reaches no input: `viz` prints one warning
         line and writes the (black) maps."""
@@ -605,7 +658,7 @@ class TestVizCommand:
         for p in net.parameters().values():
             p[...] = 0
         ckpt = tmp_path / "zero.ls3d"
-        save_checkpoint(ckpt, net)
+        save_checkpoint(ckpt, net, AdamState.init(net.parameters()))
         code = main(["viz", *TINY, "--set", f"viz.checkpoint={ckpt}", "--out", str(tmp_path)])
         assert code == EXIT_OK
         captured = capsys.readouterr()

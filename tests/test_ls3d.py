@@ -208,6 +208,17 @@ class TestReductionOracle:
         with pytest.raises(NumericError, match=f"non-finite {field} at flat index 13"):
             ls3d_forward(x, main, offsets, masks)
 
+    def test_layer_names_itself_on_non_finite_input(self):
+        """A layer re-raises the operator's NumericError with its own name in
+        front, so a net with several LS3D layers says which one failed."""
+        layer = make_ls3d_layer(np.random.default_rng(0), channels=1, name="block1.conv1",
+                                dtype=np.float64)
+        x = np.zeros((1, 1, 2, 4, 4))
+        x[0, 0, 1, 2, 3] = np.nan
+        with pytest.raises(NumericError, match=r"^block1\.conv1: ls3d: non-finite input at "
+                                               r"flat index 27 \(shape \(1, 1, 2, 4, 4\)\)$"):
+            layer.forward(x)
+
     def test_field_shape_mismatch_rejected(self):
         x = np.zeros((1, 1, 2, 4, 4), dtype=np.float64)
         main = rand_main(np.random.default_rng(0), 1, 1)

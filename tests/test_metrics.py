@@ -75,10 +75,11 @@ class TestSsim:
         with pytest.raises(ShapeError, match="11"):
             ssim(const(0, (1, 3, 1, 8, 16)), const(0, (1, 3, 1, 8, 16)))
 
-    def test_single_channel_accepted(self):
-        rng = np.random.default_rng(4)
-        a = rng.uniform(0, 1, (1, 1, 1, 12, 12))
-        assert ssim(a, a.copy()) == pytest.approx(1.0, abs=1e-9)
+    def test_single_channel_rejected(self):
+        """The nets emit RGB frames; SSIM scores their luma only."""
+        a = np.random.default_rng(4).uniform(0, 1, (1, 1, 1, 12, 12))
+        with pytest.raises(ShapeError, match="3 \\(RGB\\) channels, got 1"):
+            ssim(a, a.copy())
 
 
 class TestL1Loss:

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from ls3dconv.conv3d import conv3d_ref, conv3d_transpose_ref
+from ls3dconv.conv3d import Conv3dParams, conv3d_ref, conv3d_transpose_ref
 from ls3dconv.errors import ConfigError, ShapeError
 from ls3dconv.gradcheck import gradcheck
 from ls3dconv.ls3d import Ls3dConv
-from ls3dconv.net import Conv3dLayer, NetworkSpec, ResBlock, VINet, build_net
+from ls3dconv.net import (Conv3dLayer, NetworkSpec, ResBlock, VINet, build_net,
+                          make_ls3d_layer)
 
 
 def tiny_spec(**kw):
@@ -170,12 +171,35 @@ class TestAgainstHandAssembly:
                 y = ref(y, layer.params)
             elif isinstance(layer, ResBlock):
                 a = conv3d_ref(y, layer.first.params)
-                b = conv3d_ref(np.maximum(a, 0), layer.second.params)
+                b = conv3d_ref(np.maximum(a, 0), layer.layers[2].params)
                 y = y + b
             else:
                 y = np.maximum(y, 0)
 
         np.testing.assert_allclose(net.forward(x), y, rtol=1e-9, atol=1e-10)
+
+
+class TestLeafGradients:
+    @pytest.mark.parametrize("kind", ["conv", "transposed", "ls3d"])
+    def test_grads_named_and_ordered_as_parameters(self, kind):
+        """A leaf's backward keys its gradients by the names `parameters()`
+        gives, in the same order, so the clipping sum and Adam see one
+        spelling of every name."""
+        rng = np.random.default_rng(0)
+        w, b = rng.standard_normal((2, 2, 3, 3, 3)), np.zeros(2)
+        layer = {
+            "conv": lambda: Conv3dLayer(Conv3dParams(w, b, padding=(1, 1, 1)), "c"),
+            "transposed": lambda: Conv3dLayer(
+                Conv3dParams(w, b, stride=(1, 2, 2), padding=(1, 1, 1), transposed=True,
+                             output_padding=(0, 1, 1)), "t"),
+            "ls3d": lambda: make_ls3d_layer(rng, 2, "l", dtype=np.float64,
+                                            random_branches=True),
+        }[kind]()
+        y = layer.forward(rng.standard_normal((1, 2, 3, 4, 4)), keep_state=True)
+        layer.backward(np.ones_like(y))
+        params = layer.parameters()
+        assert list(layer.grads) == list(params)
+        assert all(layer.grads[k].shape == p.shape for k, p in params.items())
 
 
 class TestNetBackward:

@@ -344,7 +344,7 @@ class TestCheckpoint:
     def test_truncated_file_rejected_cleanly(self, tmp_path):
         net = small_net(seed=4)
         path = tmp_path / "ck.ls3d"
-        save_checkpoint(path, net)
+        save_checkpoint(path, net, AdamState.init(net.parameters()))
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         fresh = small_net(seed=5)
@@ -369,7 +369,7 @@ class TestCheckpoint:
     def test_shape_mismatch_between_net_and_file(self, tmp_path):
         net = small_net(seed=7)
         path = tmp_path / "ck.ls3d"
-        save_checkpoint(path, net)
+        save_checkpoint(path, net, AdamState.init(net.parameters()))
         other_spec = NetworkSpec(channels=8, num_resblocks=2,
                                  temporal_deconv_after=frozenset({1, 2}))
         other = build_net(other_spec, seed=0)
@@ -380,13 +380,17 @@ class TestCheckpoint:
         (lambda t: t.update({"param/extra.weight": np.zeros(2, np.float32)}),
          "param/extra.weight"),
         (lambda t: t.pop("adam.v/conv.bias"), "adam.v/conv.bias"),
-        (lambda t: t.pop("step"), "adam.m/conv.weight"),
+        (lambda t: t.pop("step"), "'step'"),
+        (lambda t: [t.pop(k) for k in list(t) if k.startswith("adam.") or k == "step"],
+         "adam.m/conv.weight"),
         (lambda t: t.pop("config"), "config"),
-    ], ids=["extra_param", "step_without_moments", "moments_without_step", "no_config"])
+    ], ids=["extra_param", "step_without_moments", "moments_without_step", "no_moments",
+            "no_config"])
     def test_names_must_match_exactly(self, tmp_path, edit, named):
-        """The checkpoint holds the net's parameters, the config echo and,
-        with `step`, both Adam moments of every parameter: nothing more or
-        less. A mismatch is rejected before the net is touched."""
+        """The checkpoint holds the net's parameters, both Adam moments of
+        every parameter, `step` and the config echo: nothing more or less. A
+        mismatch, such as a checkpoint without the moments, is rejected
+        before the net is touched."""
         net = one_conv_layer(0)
         path = tmp_path / "ck.ls3d"
         save_checkpoint(path, net, AdamState.init(net.parameters()))

@@ -65,7 +65,7 @@ class TestSamplingMap:
 
 class TestEmitMapImage:
     def test_constant_map_uniform_gray(self, tmp_path):
-        smap = SamplingMap(np.full((1, 6, 6), 0.4), (0, 3, 3), 0.4)
+        smap = SamplingMap(np.full((1, 6, 6), 0.4), 0.4)
         paths = emit_map_image(smap, tmp_path)
         assert paths[0] == f"{tmp_path}/sampling_frame0.pgm"
         assert Path(paths[0]).read_bytes() == b"P5\n6 6\n255\n" + b"\xff" * 36
@@ -73,7 +73,7 @@ class TestEmitMapImage:
     def test_single_peak_single_white_pixel(self, tmp_path):
         maps = np.zeros((1, 6, 6))
         maps[0, 2, 4] = 3.0
-        smap = SamplingMap(maps, (0, 3, 3), 3.0)
+        smap = SamplingMap(maps, 3.0)
         pixels = bytearray(36)
         pixels[2 * 6 + 4] = 255
         path = Path(emit_map_image(smap, tmp_path)[0])
@@ -86,7 +86,7 @@ class TestEmitMapImage:
         maps = np.zeros((2, 4, 4))
         maps[0, 1, 2] = 1.0
         maps[1, 3, 0] = 0.01
-        paths = emit_map_image(SamplingMap(maps, (0, 2, 2), 1.0), tmp_path)
+        paths = emit_map_image(SamplingMap(maps, 1.0), tmp_path)
         header = b"P5\n4 4\n255\n"
         brightest = []
         for path in paths[:2]:
@@ -98,7 +98,7 @@ class TestEmitMapImage:
     def test_csv_top1_is_argmax(self, tmp_path):
         rng = np.random.default_rng(4)
         maps = rng.uniform(0, 1, (2, 5, 5))
-        smap = SamplingMap(maps, (0, 2, 2), float(maps.max()))
+        smap = SamplingMap(maps, float(maps.max()))
         paths = emit_map_image(smap, tmp_path)
         assert paths == [f"{tmp_path}/sampling_frame0.pgm", f"{tmp_path}/sampling_frame1.pgm",
                          f"{tmp_path}/sampling_top50.csv"]
